@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-ingest-faults test-direction test-integrity test-concurrent test-vertexprog test-compression test-semiem test-streaming check-cache-factory lint bench bench-quick bench-smoke examples figures clean
+.PHONY: install test test-faults test-ingest-faults test-direction test-integrity test-concurrent test-vertexprog test-compression test-semiem test-streaming test-perfbench check-cache-factory lint bench bench-quick bench-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -40,6 +40,9 @@ test-semiem:  # semi-external-memory mode suite, warnings promoted to errors
 
 test-streaming:  # streaming ingest / delta log / snapshot consistency suite
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_streaming.py
+
+test-perfbench:  # the benchmark's self-test (tiny graphs, every workload once)
+	python3 -m pytest -q perfbench/test_perfbench.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \

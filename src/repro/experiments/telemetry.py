@@ -109,7 +109,7 @@ class FaultSummary:
     faults_fired: int
     #: Copies configured at deployment time.
     configured_replication: int
-    #: Copies of the worst-covered partition under the current chain map
+    #: Live copies of the worst-covered partition: chain members not dead
     #: (< configured after a death, == configured again after a rebalance).
     effective_replication: int
     #: The last ingestion ran degraded (a back-end died mid-stream).
@@ -129,12 +129,17 @@ def fault_summary(mssg: MSSG) -> FaultSummary:
     devs = [dev for node in mssg.cluster.nodes for dev in node._disks.values()]
     faults = sum(dev.stats.failures for dev in devs)
     last = mssg.last_ingest
+    dead = mssg.dead_backends()
+    # Unreplicated declusterers keep partition u on back-end u alone.
+    chains = getattr(
+        mssg.declusterer, "chains", [[u] for u in range(mssg.config.num_backends)]
+    )
     return FaultSummary(
-        dead_backends=tuple(mssg.dead_backends()),
+        dead_backends=tuple(dead),
         faults_fired=faults,
         configured_replication=mssg.config.replication,
-        effective_replication=getattr(
-            mssg.declusterer, "effective_replication", mssg.config.replication
+        effective_replication=min(
+            sum(t not in dead for t in chain) for chain in chains
         ),
         degraded_ingest=bool(last is not None and last.degraded),
         lost_entries=last.lost_entries if last is not None else 0,

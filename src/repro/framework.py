@@ -971,6 +971,7 @@ class MSSG:
                 # device was killed by an injected fault cannot accept the
                 # write-back, and teardown must not die with it.
                 pass
+        self.queries.close()
         self.cluster.close()
 
     def __enter__(self) -> "MSSG":

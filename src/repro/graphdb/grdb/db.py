@@ -31,7 +31,7 @@ import numpy as np
 
 from ...simcluster.disk import BlockDevice
 from ...util.errors import ConfigError, GraphStorageException
-from ...util.varint import split_sorted_fit, sorted_encoded_size
+from ...util.varint import split_sorted_fit
 from ..idmap import IdentityMap, IdMap
 from ..interface import GraphDB
 from .format import (
@@ -40,6 +40,7 @@ from .format import (
     MAX_VERTEX_ID,
     GrDBFormat,
     decode_pointer,
+    decode_pointers,
     encode_pointer,
     is_pointer,
 )
@@ -121,36 +122,6 @@ class GrDB(GraphDB):
 
     def _write_compressed(self, level: int, sb: int, values: np.ndarray, tail: int) -> None:
         self.storage.write_subblock(level, sb, self.fmt.encode_subblock(level, values, tail))
-
-    def _gather_sub(
-        self,
-        blocks: dict[int, dict[int, bytes]],
-        level: int,
-        sb: int,
-        k_by_level: list[int],
-    ) -> tuple[np.ndarray, int]:
-        """Gather one sub-block from an already-fetched block batch.
-
-        Returns ``(values, last)`` where ``last`` is the chain-continuation
-        word (``EMPTY_SLOT`` or a pointer).  Raw sub-blocks may include
-        ``EMPTY_SLOT`` words in ``values`` (callers filter); compressed ones
-        never do.  Charges the marginal batched sub-block cost, plus the
-        vectorized varint decode when compressed.
-        """
-        block, slot = divmod(sb, k_by_level[level])
-        sub_bytes = self.fmt.subblock_bytes(level)
-        data = blocks[level][block][slot * sub_bytes : (slot + 1) * sub_bytes]
-        if self.fmt.compress:
-            values, last, consumed = self.fmt.decode_subblock(data)
-            self.clock.advance(
-                self.cpu.grdb_batch_subblock_seconds
-                + consumed * self.cpu.varint_decode_seconds
-            )
-            return values, last
-        slots = self.fmt.parse_slots(data)
-        self.clock.advance(self.cpu.grdb_batch_subblock_seconds)
-        last = int(slots[-1])
-        return (slots[:-1] if is_pointer(last) else slots), last
 
     def _walk(self, local: int) -> tuple[list[tuple[int, int]], int]:
         """Follow ``local``'s chain to its tail; returns (path, tail fill)."""
@@ -327,23 +298,88 @@ class GrDB(GraphDB):
         flat = np.concatenate(parts)
         return flat[flat != EMPTY_SLOT].astype(np.int64)
 
-    # -- batched fringe expansion (vectored I/O all the way down) ---------------------
+    # -- level-synchronous chain resolution (vectored I/O all the way down) ---------
+
+    def _resolve_chains(self, heads) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve the chains starting at level-0 sub-blocks ``heads`` together.
+
+        Level-synchronous rounds: sort the sub-blocks every still-walking
+        chain needs next by ``(level, sub-block)`` — the global block index
+        orders exactly as ``(level, file, offset)`` — fetch each level's
+        distinct blocks through the cache (adjacent misses coalesce into
+        one vectored device read), decode the level's wanted sub-blocks in
+        one :meth:`GrDBFormat.decode_subblocks` call, and follow pointer
+        tails into the next round.
+
+        Returns ``(neighbors, counts)``: each chain's neighbors in chain
+        order, chains in ``heads`` order, and the count per chain.  Charges
+        one full address+decode per distinct block, then one ``advance``
+        per sub-block in ``(level, sub-block)`` order, so virtual time is
+        bit-identical to gathering one sub-block at a time.
+        """
+        fmt, cpu, advance = self.fmt, self.cpu, self.clock.advance
+        n = len(heads)
+        levels = np.zeros(n, dtype=np.int64)
+        sbs = np.asarray(heads, dtype=np.int64)
+        chains = np.arange(n)
+        found_vals: list[np.ndarray] = []
+        found_chain: list[np.ndarray] = []
+        rounds = 0
+        while len(chains):
+            rounds += 1
+            if rounds > 1 << 20:
+                raise GraphStorageException("runaway chain during batched chain resolution")
+            order = np.lexsort((sbs, levels))
+            levels, sbs, chains = levels[order], sbs[order], chains[order]
+            cuts = (np.flatnonzero(np.diff(levels)) + 1).tolist()
+            charges, nxt = [], []
+            for lo, hi in zip([0, *cuts], [*cuts, len(levels)]):
+                level = int(levels[lo])
+                block, slot = np.divmod(sbs[lo:hi], fmt.subblocks_per_block(level))
+                wanted = np.unique(block)
+                data = self.storage.read_block_batch(level, wanted.tolist())
+                # One full address+decode per distinct block; the per-sub-block
+                # gathers ride on the already-parsed block.
+                advance(len(data) * cpu.grdb_subblock_seconds)
+                blob = np.frombuffer(b"".join(data[b] for b in wanted.tolist()), dtype=np.uint8)
+                rows = blob.reshape(len(wanted), -1, fmt.subblock_bytes(level))[
+                    np.searchsorted(wanted, block), slot
+                ]
+                if fmt.compress:
+                    vals, offsets, tails, consumed = fmt.decode_subblocks(rows)
+                    counts = np.diff(offsets)
+                    charges += [
+                        cpu.grdb_batch_subblock_seconds + c * cpu.varint_decode_seconds
+                        for c in consumed.tolist()
+                    ]
+                else:
+                    slots = rows.view("<u8")
+                    tails = slots[:, -1]
+                    keep = slots != EMPTY_SLOT
+                    keep[:, -1] &= ~decode_pointers(tails)[0]
+                    vals, counts = slots[keep], keep.sum(axis=1)
+                    charges += [cpu.grdb_batch_subblock_seconds] * (hi - lo)
+                is_ptr, next_levels, next_sbs = decode_pointers(tails)
+                found_vals.append(vals)
+                found_chain.append(np.repeat(chains[lo:hi], counts))
+                nxt.append((next_levels, next_sbs, chains[lo:hi][is_ptr]))
+            # After every level's reads, one advance per sub-block in
+            # (level, sub-block) order: float addition order shows.
+            for seconds in charges:
+                advance(seconds)
+            levels, sbs, chains = (np.concatenate(col) for col in zip(*nxt))
+        if not found_vals:
+            return np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        owner = np.concatenate(found_chain)
+        # A stable sort by chain keeps each chain's sub-blocks in round order.
+        order = np.argsort(owner, kind="stable")
+        return np.concatenate(found_vals)[order].astype(np.int64), np.bincount(owner, minlength=n)
 
     def _expand_fringe(self, vertices, adjlist) -> None:
-        """Expand a whole fringe through the coalescing batch planner.
+        """Expand a whole fringe through :meth:`_resolve_chains`.
 
-        Instead of walking each vertex's chain independently (one sub-block
-        read at a time, scattered across files), the batched path resolves
-        the fringe level-synchronously: every round collects the chain
-        addresses all still-walking vertices need next, sorts them by
-        ``(level, file, offset)`` — the global block index orders exactly
-        that way — fetches the distinct blocks through the cache with
-        adjacent misses coalesced into single vectored device reads, then
-        decodes each block once and gathers every requested sub-block from
-        it.  Pointer targets are re-sorted each round, so chained sub-blocks
-        also coalesce.  Output order is byte-identical to the per-vertex
-        path: each vertex's neighbors appear in chain order, vertices in
-        fringe order.
+        Output order is byte-identical to the per-vertex path: each
+        vertex's neighbors appear in chain order, vertices in fringe order.
         """
         if not self.batch_io:
             super()._expand_fringe(vertices, adjlist)
@@ -353,42 +389,10 @@ class GrDB(GraphDB):
         if len(fringe) == 0:
             return
         locals_, owned = self.id_map.to_local_many(fringe)
-        parts: list[list[np.ndarray]] = [[] for _ in range(len(fringe))]
-        # (level, sub-block, fringe position) of every still-walking chain.
-        pending = [(0, int(sb), i) for i, sb in enumerate(locals_) if owned[i]]
-        k_by_level = [self.fmt.subblocks_per_block(lv) for lv in range(self.fmt.num_levels)]
-        rounds = 0
-        while pending:
-            rounds += 1
-            if rounds > 1 << 20:
-                raise GraphStorageException("runaway chain during batched fringe expansion")
-            pending.sort(key=lambda t: (t[0], t[1]))
-            wanted: dict[int, set[int]] = {}
-            for level, sb, _ in pending:
-                wanted.setdefault(level, set()).add(sb // k_by_level[level])
-            blocks: dict[int, dict[int, bytes]] = {}
-            for level in sorted(wanted):
-                blocks[level] = self.storage.read_block_batch(level, wanted[level])
-                # One full address+decode per distinct block; the per-sub-block
-                # gathers below ride on the already-parsed block.
-                self.clock.advance(len(blocks[level]) * self.cpu.grdb_subblock_seconds)
-            nxt = []
-            for level, sb, i in pending:
-                vals, last = self._gather_sub(blocks, level, sb, k_by_level)
-                parts[i].append(vals)
-                if is_pointer(last):
-                    nxt.append((*decode_pointer(last), i))
-            pending = nxt
-        total = 0
-        for chain in parts:
-            if not chain:
-                continue
-            flat = np.concatenate(chain) if len(chain) > 1 else chain[0]
-            neighbors = flat[flat != EMPTY_SLOT].astype(np.int64)
-            total += len(neighbors)
-            adjlist.extend(neighbors)
-        self.stats.edges_scanned += total
-        self.clock.advance(total * self.cpu.edge_visit_seconds)
+        neighbors, _ = self._resolve_chains(locals_[owned])
+        adjlist.extend(neighbors)
+        self.stats.edges_scanned += len(neighbors)
+        self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
 
     # -- storage-order scan (bottom-up BFS access plan) -------------------------------
 
@@ -397,11 +401,10 @@ class GrDB(GraphDB):
 
         The bottom-up plan: wanted vertices are sorted by level-0 sub-block
         (ascending file offset) and resolved in windows of a few blocks'
-        worth of chains through the same level-synchronous planner as
-        :meth:`expand_fringe` — distinct blocks fetched once through the
-        cache with adjacent misses coalesced, chains followed round by
-        round.  Sub-block addressing/decoding CPU is charged here; per-edge
-        claim checks are the caller's (early-exit accounting).
+        worth of chains through :meth:`_resolve_chains` — the same planner
+        as :meth:`expand_fringe`.  Sub-block addressing/decoding CPU is
+        charged there; per-edge claim checks are the caller's (early-exit
+        accounting).
         """
         if order != "storage":
             raise ValueError(f"unknown scan order {order!r}")
@@ -416,38 +419,14 @@ class GrDB(GraphDB):
         if len(idx) == 0:
             return
         scan_order = idx[np.argsort(locals_[idx], kind="stable")]
-        k_by_level = [self.fmt.subblocks_per_block(lv) for lv in range(self.fmt.num_levels)]
-        window = max(1, 4 * k_by_level[0])
+        window = max(1, 4 * self.fmt.subblocks_per_block(0))
         for start in range(0, len(scan_order), window):
             sel = scan_order[start : start + window]
-            parts: dict[int, list[np.ndarray]] = {int(i): [] for i in sel}
-            pending = [(0, int(locals_[i]), int(i)) for i in sel]
-            rounds = 0
-            while pending:
-                rounds += 1
-                if rounds > 1 << 20:
-                    raise GraphStorageException("runaway chain during storage-order scan")
-                pending.sort(key=lambda t: (t[0], t[1]))
-                wanted: dict[int, set[int]] = {}
-                for level, sb, _ in pending:
-                    wanted.setdefault(level, set()).add(sb // k_by_level[level])
-                blocks: dict[int, dict[int, bytes]] = {}
-                for level in sorted(wanted):
-                    blocks[level] = self.storage.read_block_batch(level, wanted[level])
-                    self.clock.advance(len(blocks[level]) * self.cpu.grdb_subblock_seconds)
-                nxt = []
-                for level, sb, i in pending:
-                    vals, last = self._gather_sub(blocks, level, sb, k_by_level)
-                    parts[i].append(vals)
-                    if is_pointer(last):
-                        nxt.append((*decode_pointer(last), i))
-                pending = nxt
-            for i in sel:
-                chain = parts[int(i)]
-                flat = np.concatenate(chain) if len(chain) > 1 else chain[0]
-                neighbors = flat[flat != EMPTY_SLOT].astype(np.int64)
-                if len(neighbors):
-                    yield int(gids[int(i)]), neighbors
+            neighbors, counts = self._resolve_chains(locals_[sel])
+            lists = np.split(neighbors, np.cumsum(counts)[:-1])
+            for gid, adj in zip(gids[sel].tolist(), lists):
+                if len(adj):
+                    yield gid, adj
 
     # -- prefetch (the §4.2 future-work optimization) ---------------------------------
 
@@ -485,15 +464,12 @@ class GrDB(GraphDB):
         if self.fmt.compress:
             sub_bytes = self.fmt.subblock_bytes(0)
             for block in level0:
-                raw = data[block]
-                for slot in range(k):
-                    values, tail, _ = self.fmt.decode_subblock(
-                        raw[slot * sub_bytes : (slot + 1) * sub_bytes]
-                    )
-                    # Occupied iff it stores neighbors or continues a chain
-                    # (a count-0 head whose first neighbor spilled).
-                    if len(values) or is_pointer(tail):
-                        self._known_locals.add(block * k + slot)
+                rows = np.frombuffer(data[block], dtype=np.uint8).reshape(k, sub_bytes)
+                _, offsets, tails, _ = self.fmt.decode_subblocks(rows)
+                # Occupied iff it stores neighbors or continues a chain
+                # (a count-0 head whose first neighbor spilled).
+                occupied = np.flatnonzero((np.diff(offsets) > 0) | decode_pointers(tails)[0])
+                self._known_locals.update(int(i) for i in block * k + occupied)
             return
         for block in level0:
             slots = self.fmt.parse_slots(data[block])

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...util.errors import ConfigError, GraphStorageException
-from ...util.varint import decode_sorted, encode_sorted
+from ...util.varint import decode_sorted, decode_sorted_segments, encode_sorted
 
 __all__ = [
     "GrDBFormat",
@@ -55,6 +55,7 @@ __all__ = [
     "COMPRESSED_COUNT_CAP",
     "encode_pointer",
     "decode_pointer",
+    "decode_pointers",
     "is_pointer",
     "is_empty",
 ]
@@ -92,6 +93,16 @@ def decode_pointer(slot: int) -> tuple[int, int]:
     if not is_pointer(slot):
         raise ConfigError(f"slot 0x{slot:016x} is not a pointer")
     return (slot & _LEVEL_MASK) >> _LEVEL_SHIFT, slot & _INDEX_MASK
+
+
+def decode_pointers(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`is_pointer` + :func:`decode_pointer` over uint64
+    slot words: ``(pointer mask, levels, sub-block indices)`` of the pointers."""
+    slots = np.asarray(slots, dtype=np.uint64)
+    mask = (slots & np.uint64(_TAG_MASK)) == np.uint64(_PTR_TAG)
+    ptrs = slots[mask]
+    levels = ((ptrs & np.uint64(_LEVEL_MASK)) >> np.uint64(_LEVEL_SHIFT)).astype(np.int64)
+    return mask, levels, (ptrs & np.uint64(_INDEX_MASK)).astype(np.int64)
 
 
 def is_pointer(slot: int) -> bool:
@@ -247,3 +258,29 @@ class GrDBFormat:
                 "exceeds the 61-bit vertex id space"
             )
         return values, tail, consumed
+
+    def decode_subblocks(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`decode_subblock` of every row of an ``(n, sub_bytes)``
+        uint8 array in one vectorized call, with the same checks.
+
+        Returns ``(values, offsets, tails, consumed)``: row ``i`` holds
+        ``values[offsets[i]:offsets[i + 1]]`` and tail slot ``tails[i]``,
+        and decoded ``consumed[i]`` varint bytes.
+        """
+        rows = np.asarray(rows, dtype=np.uint8)
+        counts = rows[:, 0].astype(np.int64) | (rows[:, 1].astype(np.int64) << 8)
+        counts[counts == _COUNT_EMPTY] = 0
+        tails = np.ascontiguousarray(rows[:, -_TAIL_STRUCT.size :]).view("<u8").reshape(-1)
+        values, offsets, consumed = decode_sorted_segments(
+            rows[:, _COUNT_STRUCT.size : -_TAIL_STRUCT.size],
+            counts,
+            what="grDB sub-block delta stream",
+        )
+        if values.size and int(values.max()) > MAX_VERTEX_ID:
+            raise GraphStorageException(
+                f"corrupt grDB sub-block: decoded neighbor {int(values.max())} "
+                "exceeds the 61-bit vertex id space"
+            )
+        return values, offsets, tails, consumed

@@ -220,6 +220,12 @@ class QueryService:
     def analyses(self) -> list[str]:
         return sorted(self._analyses)
 
+    def close(self) -> None:
+        """Drop the registry: its bound methods and plug-in closures refer
+        back to this service, a cycle that would keep a closed deployment's
+        back-ends alive until the next full garbage collection."""
+        self._analyses.clear()
+
     def query(self, analysis: str, **params) -> QueryReport:
         runner = self._analyses.get(analysis)
         if runner is None:

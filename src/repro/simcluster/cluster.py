@@ -99,6 +99,9 @@ class SimNode:
         for dev in self._disks.values():
             dev.close()
         self._disks.clear()
+        # The pool's partitions hold their stores' write-back methods, whose
+        # device providers hold this node: drop the cycle with the devices.
+        self.shared_block_cache = None
 
 
 @dataclass

@@ -19,6 +19,15 @@ bits, reduces each group with ``np.add.reduceat``, and rebuilds values with
 one cumulative sum.  The decode side is what the CPU cost model charges
 (``CpuProfile.varint_decode_seconds`` per encoded byte).
 
+:func:`decode_sorted_segments` is the batched form of :func:`decode_sorted`
+for many equal-width payloads at once (the sub-blocks of one grDB level in
+one chain-walk round): it finds terminators across every row, keeps each
+row's first ``counts[i]`` varints, decodes them all with one ``reduceat``,
+and rebuilds each row's list with one cumulative sum segmented by row.
+Every corruption check of :func:`decode_sorted` fires per row, so one
+call over ``n`` rows accepts and rejects exactly what ``n`` calls would,
+at a fixed numpy overhead instead of ``n`` of them.
+
 For edge *batches* (StreamDB log records, rebalance wire transfers) the
 module adds a two-stream layout: edges sorted by ``(src, dst)``, sources
 delta-encoded non-strictly (repeats are legal — a vertex has many edges),
@@ -39,6 +48,7 @@ __all__ = [
     "decode_varints",
     "encode_sorted",
     "decode_sorted",
+    "decode_sorted_segments",
     "sorted_encoded_size",
     "split_sorted_fit",
     "encode_edge_block",
@@ -104,9 +114,12 @@ def decode_varints(buf: bytes, count: int, what: str = "varint stream") -> tuple
             f"only {len(terminators)} varints terminate in {len(b)} bytes"
         )
     end = int(terminators[count - 1]) + 1
-    b = b[:end]
-    ends = terminators[:count]
-    starts = np.empty(count, dtype=np.int64)
+    return _sum_groups(b[:end], terminators[:count], what), end
+
+
+def _sum_groups(b: np.ndarray, ends: np.ndarray, what: str) -> np.ndarray:
+    """Values of the varints of ``b`` ending at byte indices ``ends``."""
+    starts = np.empty(len(ends), dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
@@ -116,10 +129,9 @@ def decode_varints(buf: bytes, count: int, what: str = "varint stream") -> tuple
             "(canonical maximum is 9)"
         )
     # Position of every byte within its group, then one reduceat per group.
-    pos = np.arange(end, dtype=np.uint64) - np.repeat(starts, lengths).astype(np.uint64)
+    pos = np.arange(len(b), dtype=np.uint64) - np.repeat(starts, lengths).astype(np.uint64)
     groups = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * pos)
-    values = np.add.reduceat(groups, starts)
-    return values, end
+    return np.add.reduceat(groups, starts)
 
 
 # -- sorted neighbor lists (grDB sub-blocks) --------------------------------
@@ -170,6 +182,56 @@ def decode_sorted(buf: bytes, count: int, what: str = "delta stream") -> tuple[n
             f"corrupt {what}: decoded id {int(values[-1])} exceeds the 63-bit range"
         )
     return values, consumed
+
+
+def decode_sorted_segments(
+    payload, counts, what: str = "delta stream"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decode_sorted` of every row of an ``(n, width)`` uint8 array.
+
+    Row ``i`` holds ``counts[i]`` values followed by ignored padding.
+    Returns ``(values, offsets, consumed)``: row ``i`` decodes to
+    ``values[offsets[i]:offsets[i + 1]]`` from its first ``consumed[i]``
+    bytes.  Raises :class:`GraphStorageException` whenever
+    :func:`decode_sorted` would reject any one row.
+    """
+    p = np.asarray(payload, dtype=np.uint8)
+    c = np.asarray(counts, dtype=np.int64)
+    if p.ndim != 2 or c.shape != (len(p),):
+        raise GraphStorageException("segmented decode needs one count per payload row")
+    offsets = np.concatenate(([0], np.cumsum(c)))
+    if offsets[-1] == 0:
+        return np.empty(0, dtype=np.uint64), offsets, np.zeros(len(c), dtype=np.int64)
+    term = (p & 0x80) == 0
+    seen = np.cumsum(term, axis=1)
+    if np.any(seen[:, -1] < c):
+        raise GraphStorageException(
+            f"truncated {what}: a row promises more values than varints "
+            f"terminate in its {p.shape[1]} bytes"
+        )
+    # Row i's stream is every byte with fewer than counts[i] terminators
+    # before it, so every row's kept bytes end on a terminator.
+    keep = (seen - term) < c[:, None]
+    deltas = _sum_groups(p[keep], np.flatnonzero(term[keep]), what)
+    # One cumulative sum for all rows, re-based at each row's first value
+    # (uint64 wrap-around cancels in the subtraction).
+    firsts = offsets[:-1][c > 0]
+    interior = np.ones(len(deltas), dtype=bool)
+    interior[firsts] = False
+    if np.any(deltas[interior] == 0):
+        raise GraphStorageException(
+            f"non-monotone {what}: zero gap decodes to a duplicate neighbor"
+        )
+    csum = np.cumsum(deltas, dtype=np.uint64)
+    values = csum - np.repeat(csum[firsts] - deltas[firsts], c[c > 0])
+    # A row's wrapped cumsum shows up as a non-increase inside it.
+    if np.any((values[1:] <= values[:-1]) & interior[1:]):
+        raise GraphStorageException(f"non-monotone {what}: decoded ids decrease")
+    if int(values.max()) > MAX_ENCODABLE:
+        raise GraphStorageException(
+            f"corrupt {what}: decoded id {int(values.max())} exceeds the 63-bit range"
+        )
+    return values, offsets, keep.sum(axis=1)
 
 
 def sorted_encoded_size(values) -> int:

@@ -15,8 +15,15 @@ from hypothesis import strategies as st
 from repro import MSSG, MSSGConfig
 from repro.graphdb import GrDB, GrDBFormat, make_graphdb
 from repro.graphdb.grdb.defrag import chain_length, defragment
+from repro.graphdb.grdb.format import (
+    COMPRESSED_COUNT_CAP,
+    EMPTY_SLOT,
+    MAX_VERTEX_ID,
+    encode_pointer,
+)
 from repro.graphdb.registry import BACKENDS
 from repro.graphdb.stream_db import StreamGraphDB
+from repro.graphgen import pubmed_like
 from repro.simcluster import BlockDevice, DiskFault, FaultPlan, NodeSpec, SimNode
 from repro.util.errors import (
     CorruptBlockError,
@@ -28,6 +35,7 @@ from repro.util.varint import (
     MAX_ENCODABLE,
     decode_edge_block,
     decode_sorted,
+    decode_sorted_segments,
     decode_varints,
     edge_block_bytes,
     encode_edge_block,
@@ -166,6 +174,65 @@ class TestVarintCodec:
         assert np.all(spill[1:] >= spill[:-1]) if len(spill) > 1 else True
 
 
+# -- segmented (batched) decode ----------------------------------------------
+
+
+def _decode_one(buf, count):
+    """``decode_sorted`` result, or the exception it raised."""
+    try:
+        values, consumed = decode_sorted(buf, count)
+    except GraphStorageException as exc:
+        return exc
+    return values.tolist(), consumed
+
+
+class TestSegmentedDecode:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(0, 1 << 40), max_size=12),
+                st.integers(-1, 2),  # count slack: short, exact, over-long
+                st.integers(-1, 40),  # byte to corrupt (-1: none)
+                st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_row_decode_sorted(self, rows):
+        width = 80
+        payload = np.zeros((len(rows), width), dtype=np.uint8)
+        counts = []
+        for i, (values, slack, at, byte) in enumerate(rows):
+            buf = encode_sorted(np.array(sorted(values), dtype=np.uint64))
+            payload[i, : len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+            if at >= 0:
+                payload[i, at] = byte
+            counts.append(max(0, len(values) + slack))
+        want = [_decode_one(payload[i].tobytes(), c) for i, c in enumerate(counts)]
+        if any(isinstance(w, Exception) for w in want):
+            with pytest.raises(GraphStorageException):
+                decode_sorted_segments(payload, counts)
+            return
+        values, offsets, consumed = decode_sorted_segments(payload, counts)
+        assert offsets[-1] == len(values)
+        for i, (row_values, row_consumed) in enumerate(want):
+            assert values[offsets[i] : offsets[i + 1]].tolist() == row_values
+            assert int(consumed[i]) == row_consumed
+
+    def test_no_rows_and_all_empty(self):
+        values, offsets, consumed = decode_sorted_segments(np.zeros((0, 4), np.uint8), [])
+        assert values.size == 0 and offsets.tolist() == [0] and consumed.size == 0
+        all_empty = np.full((3, 4), 0x80, np.uint8)
+        values, offsets, consumed = decode_sorted_segments(all_empty, [0, 0, 0])
+        assert offsets.tolist() == [0, 0, 0, 0] and consumed.tolist() == [0, 0, 0]
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(GraphStorageException, match="segmented decode"):
+            decode_sorted_segments(np.zeros((2, 4), np.uint8), [1])
+
+
 # -- grDB compressed sub-blocks ----------------------------------------------
 
 
@@ -269,6 +336,148 @@ class TestGrDBCompressed:
         too_many = np.arange(0, 10_000_000, 17, dtype=np.uint64)[:3000]
         with pytest.raises(GraphStorageException, match="overflows"):
             FMT_C.encode_subblock(0, too_many[:50], (1 << 64) - 1)
+
+
+def _subblock_rows(fmt, level, rng, n):
+    """``n`` compressed sub-blocks of ``level``: never written (0xFFFF
+    sentinel), count 0, and lists filled to near the payload budget, each
+    with an ``EMPTY_SLOT`` or a pointer tail."""
+    rows = []
+    for _ in range(n):
+        kind = int(rng.integers(4))
+        if rng.integers(2):
+            tail = EMPTY_SLOT
+        else:
+            tail = encode_pointer(int(rng.integers(fmt.num_levels)), int(rng.integers(1 << 30)))
+        if kind == 0:
+            rows.append(fmt.empty_subblock(level))
+            continue
+        values = np.empty(0, dtype=np.uint64)
+        if kind > 1:
+            # Dense small gaps (many 1-byte varints) or sparse 61-bit ids.
+            hi = 1 << 12 if kind == 2 else MAX_VERTEX_ID
+            pool = np.sort(rng.integers(0, hi, size=8 * fmt.capacities[level], dtype=np.uint64))
+            values, _ = split_sorted_fit(pool, fmt.payload_bytes(level), COMPRESSED_COUNT_CAP)
+        rows.append(fmt.encode_subblock(level, values, tail))
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, -1).copy()
+
+
+def _varints(*values):
+    return encode_varints(np.array(values, dtype=np.uint64))
+
+
+#: One corrupt level-2 sub-block per check: label -> (count header, varint
+#: payload written verbatim, expected error match).
+_CORRUPT_ROWS = {
+    "truncated": (FMT_C.payload_bytes(2) + 1, _varints(1, 2), "truncated"),
+    "ten-byte varint": (1, b"\x80" * 9 + b"\x01", "canonical"),
+    "zero gap": (3, _varints(5, 0, 8), "zero gap"),
+    "wraparound": (3, _varints(MAX_ENCODABLE, MAX_ENCODABLE, MAX_ENCODABLE), "non-monotone"),
+    "past 63 bits": (2, _varints(1 << 62, 1 << 62), "63-bit"),
+    "past 61 bits": (1, _varints(MAX_VERTEX_ID + 1), "61-bit"),
+}
+
+
+def _corrupt_row(label):
+    count, payload, _ = _CORRUPT_ROWS[label]
+    pad = b"\x00" * (FMT_C.payload_bytes(2) - len(payload))
+    return count.to_bytes(2, "little") + payload + pad + EMPTY_SLOT.to_bytes(8, "little")
+
+
+class TestBatchedSubblockDecode:
+    @given(
+        st.integers(min_value=0, max_value=FMT_C.num_levels - 1),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_row_decode_subblock(self, level, n, seed):
+        rows = _subblock_rows(FMT_C, level, np.random.default_rng(seed), n)
+        values, offsets, tails, consumed = FMT_C.decode_subblocks(rows)
+        assert offsets[-1] == len(values)
+        for i in range(n):
+            want, tail, used = FMT_C.decode_subblock(rows[i].tobytes())
+            assert values[offsets[i] : offsets[i + 1]].tolist() == want.tolist()
+            assert int(tails[i]) == tail
+            assert int(consumed[i]) == used
+
+    def test_near_budget_level3_rows_occur(self):
+        rows = _subblock_rows(FMT_C, 3, np.random.default_rng(0), 16)
+        _, _, _, consumed = FMT_C.decode_subblocks(rows)
+        assert int(consumed.max()) > FMT_C.payload_bytes(3) - 9
+
+    @pytest.mark.parametrize("label", sorted(_CORRUPT_ROWS))
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_corrupt_row_raises(self, label, n, at, seed):
+        rows = _subblock_rows(FMT_C, 2, np.random.default_rng(seed), n)
+        bad = _corrupt_row(label)
+        match = _CORRUPT_ROWS[label][2]
+        rows[at % n] = np.frombuffer(bad, dtype=np.uint8)
+        with pytest.raises(GraphStorageException, match=match):
+            FMT_C.decode_subblock(bad)
+        with pytest.raises(GraphStorageException, match=match):
+            FMT_C.decode_subblocks(rows)
+
+
+class TestBatchedResolverPinned:
+    """Virtual time of the batched chain resolver is pinned bit for bit.
+
+    The values were recorded with the sub-block-at-a-time gather that
+    preceded the segmented decode; the resolver must charge every
+    sub-block separately in the same ``(level, sub-block)`` order, so
+    each ``.seconds`` reproduces exactly (float addition order shows).
+    """
+
+    PAIRS = [
+        (324, 34), (71, 94), (72, 320), (347, 232), (15, 37), (132, 173),
+        (248, 191), (105, 63), (276, 293), (13, 45), (180, 156), (355, 206),
+        (168, 172), (266, 234), (69, 295), (302, 382),
+    ]
+    DISTANCES = [2, 2, 2, 2, 2, 3, 2, 4, 4, 2, 3, 3, 2, 4, 2, 3]
+    RANKS_SHA = "21e6dd52b09a9a05"
+    LABELS_SHA = "5a312281df4bd8df"
+    #: replication -> (drain, pagerank, components) ``repr(.seconds)``.
+    SECONDS = {
+        1: ("0.01736861490909088", "0.006403009745454491", "0.0030267943636363677"),
+        2: ("0.027495037272727448", "0.00646900974545449", "0.0030597943636363678"),
+    }
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_virtual_time_and_answers_pinned(self, replication):
+        import hashlib
+
+        def digest(d, dtype):
+            data = np.array([d[k] for k in sorted(d)], dtype=dtype).tobytes()
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        mssg = MSSG(
+            MSSGConfig(
+                num_frontends=2,
+                num_backends=4,
+                compress_adjacency=True,
+                direction_opt=True,
+                replication=replication,
+            )
+        )
+        try:
+            mssg.ingest(pubmed_like(400, seed=5))
+            drain = mssg.query_many(self.PAIRS)
+            pr = mssg.query("pagerank", max_iters=5, tol=0.0, return_ranks=True)
+            cc = mssg.query("components", return_labels=True)
+        finally:
+            mssg.close()
+        # Bottom-up levels ran, so the storage-order scan was exercised.
+        assert any("bottom-up" in q.directions for q in drain.queries)
+        assert [q.result for q in drain.queries] == self.DISTANCES
+        assert digest(pr.result["ranks"], "<f8") == self.RANKS_SHA
+        assert digest(cc.result["labels"], "<i8") == self.LABELS_SHA
+        got = (repr(drain.seconds), repr(pr.seconds), repr(cc.seconds))
+        assert got == self.SECONDS[replication]
 
 
 # -- StreamDB compressed log -------------------------------------------------

@@ -699,7 +699,7 @@ class TestRebalance:
             before = fault_summary(mssg)
             assert before.dead_backends == (0,)
             assert before.degraded_ingest
-            assert before.effective_replication == 2  # chains not yet edited
+            assert before.effective_replication == 1  # one live copy left
             mssg.rebalance()
             after = fault_summary(mssg)
             assert after.effective_replication == 2
@@ -707,6 +707,21 @@ class TestRebalance:
         finally:
             mssg.close()
 
+
+    def test_fault_summary_healthy_reports_configured(self):
+        from repro.experiments import fault_summary
+
+        for replication in (1, 2):
+            mssg = MSSG(
+                MSSGConfig(num_backends=3, num_frontends=1, replication=replication)
+            )
+            try:
+                mssg.ingest(_FT_EDGES)
+                summary = fault_summary(mssg)
+                assert summary.dead_backends == ()
+                assert summary.effective_replication == replication
+            finally:
+                mssg.close()
 
 class TestWindowGreedyOwnerLookup:
     def _prepared(self):
