@@ -204,24 +204,25 @@ def _adjacency_source(db, candidates):
     view = db._overlay_view()
     if view is None:
         return ((int(v), adj[int(v)]) for v in wanted if int(v) in adj)
+    lens, flat = view.gather(wanted)
 
     def merged():
-        for w in wanted:
-            v = int(w)
+        end = 0
+        for v, n in zip(wanted.tolist(), lens.tolist()):
+            start, end = end, end + n
             base = adj.get(v)
-            extra = view.adjacency(v)
             if base is None:
-                if len(extra):
-                    yield v, extra
-            elif len(extra):
-                yield v, np.concatenate([base, extra])
+                if n:
+                    yield v, flat[start:end]
+            elif n:
+                yield v, np.concatenate([base, flat[start:end]])
             else:
                 yield v, base
 
     return merged()
 
 
-def _scan_claims(ctx, db, bm: Bitset, candidates, dest: int, ft: FTState | None):
+def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
     """Sequentially scan ``candidates``, claiming each at its first hit.
 
     Returns ``(claims, examined, skipped, ok)``; ``ok`` is False when the
@@ -229,22 +230,19 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, dest: int, ft: FTState | None)
     which case the partial claims are discarded by the caller.  Examined
     entries are charged ``edge_visit_seconds`` and counted in
     ``stats.edges_scanned`` either way — the work happened.
+
+    The scan only collects the lazily produced ``(vertex, neighbors)``
+    pairs (device reads keep their order); the claim check then runs once
+    over every pair read, as one segmented pass (DESIGN §7).
     """
-    claims: list[int] = []
-    examined = 0
-    skipped = 0
+    vs: list[int] = []
+    lists: list[np.ndarray] = []
     start = ctx.clock.now
     ok = True
     try:
         for v, neighbors in _adjacency_source(db, candidates):
-            hits = np.flatnonzero(bm.get_many(neighbors))
-            if len(hits):
-                first = int(hits[0])
-                examined += first + 1
-                skipped += len(neighbors) - first - 1
-                claims.append(v)
-            else:
-                examined += len(neighbors)
+            vs.append(v)
+            lists.append(neighbors)
     except DeviceFailedError as e:
         if ft is None:
             raise
@@ -254,6 +252,7 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, dest: int, ft: FTState | None)
         else:
             ft.device_failed = True
         ok = False
+    claims, examined, skipped = _first_hits(bm, vs, lists)
     ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
     db.stats.edges_scanned += examined
     timeout = ft.cfg.attempt_timeout if ft is not None else None
@@ -261,7 +260,32 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, dest: int, ft: FTState | None)
         ft.self_dead = True
         ft.timed_out = True
         ok = False
-    return np.array(claims, dtype=np.int64), examined, skipped, ok
+    return claims, examined, skipped, ok
+
+
+def _first_hits(bm: Bitset, vs: list[int], lists: list[np.ndarray]):
+    """Claim each vertex of ``vs`` whose list has a fringe bit set.
+
+    One ``bm.get_many`` over the concatenated lists (its range check sees
+    every index), then each hit's segment by ``searchsorted`` over the
+    segment ends; the first hit of a segment is where the per-vertex loop
+    would have stopped.  Returns ``(claims, examined, skipped)``: a claimed
+    vertex examines its list up to and including the first hit and skips
+    the rest, an unclaimed one examines it all.
+    """
+    lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    flat = (
+        np.concatenate(lists, dtype=np.int64, casting="unsafe") if lists else _EMPTY
+    )
+    hits = np.flatnonzero(bm.get_many(flat))
+    ends = np.cumsum(lens)
+    seg = np.searchsorted(ends, hits, side="right")
+    first = np.ones(len(seg), dtype=bool)
+    first[1:] = seg[1:] != seg[:-1]
+    seg, hits = seg[first], hits[first]
+    skipped = int((ends[seg] - hits - 1).sum())
+    claims = np.asarray(vs, dtype=np.int64)[seg]
+    return claims, len(flat) - skipped, skipped
 
 
 def _responsibility(unvisited_locals: np.ndarray, rank: int, owner_of, ft: FTState | None):
@@ -307,7 +331,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
         candidates = _responsibility(
             visited.unvisited_local(db.local_vertices), rank, owner_of, None
         )
-        claims, examined, skipped, _ = _scan_claims(ctx, db, bm, candidates, cfg.dest, None)
+        claims, examined, skipped, _ = _scan_claims(ctx, db, bm, candidates, None)
         visited.mark_many(claims, levcnt)
         result.edges_examined += examined
         result.edges_skipped += skipped
@@ -342,9 +366,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             if len(todo):
                 if extra_rounds:
                     ft.failovers += 1  # picked up a dead peer's shard
-                claims, examined, skipped, ok = _scan_claims(
-                    ctx, db, bm, todo, cfg.dest, ft
-                )
+                claims, examined, skipped, ok = _scan_claims(ctx, db, bm, todo, ft)
                 result.edges_examined += examined
                 result.edges_skipped += skipped
                 if ok:

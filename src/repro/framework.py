@@ -282,6 +282,36 @@ class MSSG:
         #: the same ``storage_dir`` replays the delta logs, settles any
         #: interrupted compaction, and restores the last published snapshot.
         self.streaming = StreamingState(self) if cfg.streaming else None
+        if cfg.storage_dir is not None:
+            self._recover_vertex_space()
+
+    def _recover_vertex_space(self) -> None:
+        """Re-derive the vertex-id space of a reopened deployment.
+
+        :meth:`ingest` records it in RAM only.  Every input edge is stored
+        in both directions, so 1 + the largest stored vertex id (base or
+        overlay) over the live back-ends is the value ingest recorded.  The
+        probe charges no virtual time: each back-end's clock is restored.
+        When some partition has no live, enumerable holder the value stays
+        ``None`` — an undersized fringe bitmap would raise.
+        """
+        hi = -1
+        probed = set()
+        for q, db in enumerate(self.dbs):
+            if q in self.queries.known_dead:
+                continue
+            now = db.clock.now
+            try:
+                hi = max(hi, db.max_vertex())
+                probed.add(q)
+            except DeviceFailedError:
+                pass
+            finally:
+                db.clock.reset(now)
+        # Unreplicated declusterers keep partition u on back-end u alone.
+        chains = getattr(self.declusterer, "chains", [[q] for q in range(len(self.dbs))])
+        if hi >= 0 and all(probed.intersection(c) for c in chains):
+            self.queries.num_vertices = hi + 1
 
     def _make_db(self, q: int) -> GraphDB:
         """Build back-end ``q``'s GraphDB instance on its node.

@@ -212,7 +212,7 @@ class GraphDB(abc.ABC):
         view = self._overlay_view()
         if view is None:
             return neighbors
-        extra = view.adjacency(int(vertex))
+        extra = view.gather([vertex])[1]
         if not len(extra):
             return neighbors
         self.stats.edges_scanned += len(extra)
@@ -329,22 +329,24 @@ class GraphDB(abc.ABC):
             if vertices is None
             else np.unique(np.asarray(vertices, dtype=np.int64))
         )
-        seen: set[int] = set()
-        for v, neighbors in self._scan_adjacency(wanted, order=order):
-            seen.add(int(v))
-            extra = view.adjacency(int(v))
-            if len(extra):
-                neighbors = np.concatenate([neighbors, extra])
-            yield int(v), neighbors
+        # Only overlay sources have extra entries: gather them all at once,
+        # append each to its base list as the sweep passes it, and yield
+        # the overlay-only rest (ascending) after the base sweep.
         overlay_vs = view.vertices()
         if wanted is not None and len(overlay_vs):
             overlay_vs = overlay_vs[np.isin(overlay_vs, wanted)]
-        for v in overlay_vs:
-            if int(v) in seen:
-                continue
-            extra = view.adjacency(int(v))
-            if len(extra):
-                yield int(v), extra
+        lens, flat = view.gather(overlay_vs)
+        ends = np.cumsum(lens).tolist()
+        extras = {
+            v: flat[end - n : end]
+            for v, n, end in zip(overlay_vs.tolist(), lens.tolist(), ends)
+        }
+        for v, neighbors in self._scan_adjacency(wanted, order=order):
+            extra = extras.pop(int(v), None)
+            if extra is not None:
+                neighbors = np.concatenate([neighbors, extra])
+            yield int(v), neighbors
+        yield from extras.items()
 
     def _base_local_vertices(self) -> np.ndarray:
         """Base-store vertex enumeration (pinned array or backend scan)."""
@@ -372,6 +374,14 @@ class GraphDB(abc.ABC):
         if not len(extra):
             return base
         return np.union1d(base, extra)
+
+    def max_vertex(self) -> int:
+        """Largest locally stored vertex id, base or overlay (-1 if none).
+
+        Reopening a deployment recovers its vertex-id space from this.
+        """
+        vs = self.local_vertices()
+        return int(vs.max()) if len(vs) else -1
 
     def _local_vertices(self) -> np.ndarray:
         """Backend enumeration of stored source vertices (sorted, unique)."""

@@ -600,6 +600,16 @@ class StreamGraphDB(GraphDB):
             return np.empty(0, dtype=np.int64)
         return np.unique(edges[:, 0])
 
+    def max_vertex(self) -> int:
+        # A reopen probe, not a query scan: the post-restore directory
+        # rebuild stays with the first real full pass, whose virtual time
+        # it shapes.
+        rebuild, self._rebuild_records = self._rebuild_records, False
+        try:
+            return super().max_vertex()
+        finally:
+            self._rebuild_records = rebuild
+
     @property
     def num_edges_logged(self) -> int:
         return self._nedges + self._buffered

@@ -177,9 +177,9 @@ class QueryService:
         self.semi_external = semi_external
         #: Queries accepted by :meth:`submit`, awaiting the next :meth:`drain`.
         self._submitted: list[QuerySpec] = []
-        #: Vertex-id space size, recorded at ingest time; sizes the hybrid's
-        #: fringe bitmap.  ``None`` (nothing ingested through the façade)
-        #: keeps BFS pure top-down.
+        #: Vertex-id space size, recorded at ingest time (re-derived from
+        #: the stores at reopen); sizes the hybrid's fringe bitmap.  ``None``
+        #: (unknown) keeps BFS pure top-down.
         self.num_vertices: int | None = None
         #: Back-end indices recorded dead by a rebalance pass.  Seeded into
         #: every query's fault state so routing skips them outright instead

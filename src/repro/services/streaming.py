@@ -79,21 +79,19 @@ class _OverlayBatch:
         )
         self.indptr = np.concatenate([[0], np.cumsum(counts)])
 
-    def adjacency(self, vertex: int) -> np.ndarray:
-        i = int(np.searchsorted(self.srcs, vertex))
-        if i == len(self.srcs) or self.srcs[i] != vertex:
-            return self.edges[0:0, 1]
-        return self.edges[self.indptr[i] : self.indptr[i + 1], 1]
+    def spans(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lens)`` of each vertex's entries in ``edges`` (one
+        ``searchsorted``; absent vertices get length 0)."""
+        if not len(self.srcs):
+            zeros = np.zeros(len(vs), dtype=np.int64)
+            return zeros, zeros
+        idx = np.minimum(np.searchsorted(self.srcs, vs), len(self.srcs) - 1)
+        starts = self.indptr[idx]
+        lens = np.where(self.srcs[idx] == vs, self.indptr[idx + 1] - starts, 0)
+        return starts, lens
 
     def degrees(self, vs: np.ndarray) -> np.ndarray:
-        if not len(self.srcs):
-            return np.zeros(len(vs), dtype=np.int64)
-        idx = np.searchsorted(self.srcs, vs)
-        idx = np.minimum(idx, len(self.srcs) - 1)
-        hit = self.srcs[idx] == vs
-        out = np.zeros(len(vs), dtype=np.int64)
-        out[hit] = (self.indptr[idx + 1] - self.indptr[idx])[hit]
-        return out
+        return self.spans(vs)[1]
 
 
 class OverlayView:
@@ -102,12 +100,29 @@ class OverlayView:
     def __init__(self, batches: list[_OverlayBatch]):
         self.batches = batches
 
-    def adjacency(self, vertex: int) -> np.ndarray:
-        parts = [b.adjacency(vertex) for b in self.batches]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def gather(self, vs) -> tuple[np.ndarray, np.ndarray]:
+        """Overlay adjacency of every vertex of ``vs`` at once.
+
+        Returns ``(lens, flat)``: vertex ``vs[i]``'s entries are
+        ``flat[sum(lens[:i]) : sum(lens[:i + 1])]``, in batch order within
+        the vertex, with vertices in ``vs`` order (repeats included).  One
+        ``searchsorted`` per batch finds the spans and one scatter per
+        batch copies them into place.
+        """
+        vs = np.asarray(vs, dtype=np.int64)
+        spans = [b.spans(vs) for b in self.batches]
+        lens = sum((n for _, n in spans), np.zeros(len(vs), dtype=np.int64))
+        flat = np.empty(int(lens.sum()), dtype=np.int64)
+        # Each batch writes its span of vertex i at cursor[i], then the
+        # cursor moves past it for the next batch.
+        cursor = np.cumsum(lens) - lens
+        for b, (starts, n) in zip(self.batches, spans):
+            total = int(n.sum())
+            if total:
+                within = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
+                flat[np.repeat(cursor, n) + within] = b.edges[np.repeat(starts, n) + within, 1]
+                cursor += n
+        return lens, flat
 
     def degrees(self, vs: np.ndarray) -> np.ndarray:
         out = np.zeros(len(vs), dtype=np.int64)
@@ -124,11 +139,7 @@ class OverlayView:
     def fringe(self, vs) -> np.ndarray:
         """Concatenated overlay adjacency of every fringe vertex, in fringe
         order (matching the default per-vertex ``expand_fringe`` loop)."""
-        parts = [self.adjacency(int(v)) for v in vs]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return self.gather(vs)[1]
 
 
 class DeltaOverlay:
@@ -348,7 +359,6 @@ class StreamingState:
         cfg = mssg.config
         F = cfg.num_frontends
         self.logs: list[DeltaLog | None] = []
-        hi_vertex = -1
         for q, db in enumerate(mssg.dbs):
             node = mssg.cluster.nodes[F + q]
             try:
@@ -363,8 +373,6 @@ class StreamingState:
             if log is not None:
                 for seq, edges in log.pending:
                     overlay.append(seq, edges)
-                    if len(edges):
-                        hi_vertex = max(hi_vertex, int(edges.max()))
         #: Last cluster-widely published batch seq (queries admit at this).
         self.published = max(
             (log.committed for log in self.logs if log is not None), default=0
@@ -382,10 +390,6 @@ class StreamingState:
         if self.lagging and cfg.replication > 1:
             mssg.queries.known_dead |= set(self.lagging)
             mssg.queries.fault_tolerant = True
-        if hi_vertex >= 0:
-            mssg.queries.num_vertices = max(
-                mssg.queries.num_vertices or 0, hi_vertex + 1
-            )
 
     # -- ingest ---------------------------------------------------------------
 

@@ -7,8 +7,12 @@ top-down search.  The controller itself is tested as a unit (it is
 rank-uniform by construction, so one instance models every rank).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.bfs import (
@@ -20,10 +24,14 @@ from repro.bfs import (
     bfs_distance,
     sample_queries_by_distance,
 )
-from repro.bfs.direction import merge_level_stats
+from repro.bfs.direction import _scan_claims, merge_level_stats
+from repro.bfs.failover import FaultTolerance, FTState
 from repro.experiments import Deployment
 from repro.graphgen import CSRGraph, pubmed_like
 from repro.simcluster import FaultPlan
+from repro.simcluster.virtualtime import VirtualClock
+from repro.util.bitset import Bitset
+from repro.util.errors import DeviceFailedError
 
 BACKENDS = ("Array", "HashMap", "MySQL", "BerkeleyDB", "StreamDB", "grDB")
 
@@ -133,6 +141,151 @@ class TestUnvisitedLocal:
         visited.mark_many([0, 9], 2)
         assert visited.unvisited_local(local_vertices).tolist() == [1, 3, 4, 6, 7, 8]
         assert len(calls) == 1  # later levels re-filter the remainder
+
+
+class _PairSource:
+    """Stand-in store for ``_scan_claims``: yields fixed ``(v, neighbors)``
+    pairs, charging ``read_seconds`` per pair on the shared clock (a lazy
+    device read), and raising ``DeviceFailedError`` after ``fail_after``."""
+
+    scan_board = None
+    READ_SECONDS = 1e-6
+    EDGE_SECONDS = 3e-7
+
+    def __init__(self, clock, pairs, fail_after=None):
+        self.clock = clock
+        self.pairs = pairs
+        self.fail_after = fail_after
+        self.cpu = SimpleNamespace(edge_visit_seconds=self.EDGE_SECONDS)
+        self.stats = SimpleNamespace(edges_scanned=0)
+
+    def scan_adjacency(self, candidates, order="storage"):
+        for i, (v, neighbors) in enumerate(self.pairs):
+            if i == self.fail_after:
+                raise DeviceFailedError("injected mid-scan death")
+            self.clock.advance(self.READ_SECONDS)
+            yield v, neighbors
+
+
+def _reference_claims(bm, pairs, fail_after=None):
+    """The per-vertex claim loop the segmented scan replaced, with the
+    same clock charges in the same order."""
+    clock = VirtualClock()
+    claims, examined, skipped = [], 0, 0
+    for i, (v, neighbors) in enumerate(pairs):
+        if i == fail_after:
+            break
+        clock.advance(_PairSource.READ_SECONDS)
+        hits = np.flatnonzero(bm.get_many(neighbors))
+        if len(hits):
+            first = int(hits[0])
+            examined += first + 1
+            skipped += len(neighbors) - first - 1
+            claims.append(v)
+        else:
+            examined += len(neighbors)
+    clock.advance(examined * _PairSource.EDGE_SECONDS)
+    ok = fail_after is None or fail_after >= len(pairs)
+    return claims, examined, skipped, ok, clock.now
+
+
+_DTYPES = (np.int64, np.int32, np.uint32, np.uint64, np.int16)
+
+
+@st.composite
+def _claim_case(draw):
+    nbits = draw(st.integers(1, 300))
+    fringe = draw(st.lists(st.integers(0, nbits - 1), max_size=40))
+    lists = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, min(nbits - 1, 32767)), max_size=12),
+                st.sampled_from(_DTYPES),
+            ),
+            max_size=25,
+        )
+    )
+    pairs = [(i * 3 + 1, np.array(nb, dtype=dt)) for i, (nb, dt) in enumerate(lists)]
+    return nbits, fringe, pairs
+
+
+class TestSegmentedClaimScan:
+    """``_scan_claims`` must reproduce the per-vertex loop exactly: claims
+    and their order, examined/skipped counts, ``ok`` and the clock."""
+
+    @staticmethod
+    def _run(bm, pairs, fail_after=None, ft=None):
+        clock = VirtualClock()
+        db = _PairSource(clock, pairs, fail_after)
+        ctx = SimpleNamespace(clock=clock)
+        claims, examined, skipped, ok = _scan_claims(ctx, db, bm, None, ft)
+        assert db.stats.edges_scanned == examined
+        return claims.tolist(), examined, skipped, ok, clock.now
+
+    @staticmethod
+    def _bitset(nbits, fringe):
+        bm = Bitset(nbits)
+        bm.set_many(np.array(fringe, dtype=np.int64))
+        return bm
+
+    @settings(max_examples=200, deadline=None)
+    @given(_claim_case())
+    def test_matches_per_vertex_loop(self, case):
+        nbits, fringe, pairs = case
+        bm = self._bitset(nbits, fringe)
+        assert self._run(bm, pairs) == _reference_claims(bm, pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_claim_case(), st.integers(0, 30))
+    def test_device_failure_after_k_pairs(self, case, k):
+        nbits, fringe, pairs = case
+        bm = self._bitset(nbits, fringe)
+        ft = FTState(cfg=FaultTolerance(), size=1)
+        got = self._run(bm, pairs, fail_after=k, ft=ft)
+        assert got == _reference_claims(bm, pairs, fail_after=k)
+        failed = k < len(pairs)
+        assert got[3] is not failed
+        assert ft.self_dead is failed and ft.device_failed is failed
+
+    def test_device_failure_without_failover_propagates(self):
+        bm = self._bitset(8, [1])
+        pairs = [(0, np.array([1]))]
+        with pytest.raises(DeviceFailedError):
+            self._run(bm, pairs, fail_after=0)
+
+    def test_edge_cases(self):
+        bm = self._bitset(16, [0, 15])
+        nb = np.array
+        cases = [
+            [],  # nothing scanned
+            [(1, nb([], dtype=np.int64))],  # empty list
+            [(1, nb([3, 4])), (2, nb([5]))],  # no hits
+            [(1, nb([0, 3, 4])), (2, nb([4, 5, 15]))],  # first / last slot
+            [(1, nb([15, 15, 0])), (2, nb([2, 2])), (3, nb([0, 0]))],  # repeats
+            [(4, nb([], dtype=np.int32)), (5, nb([15], dtype=np.uint64))],
+        ]
+        for pairs in cases:
+            assert self._run(bm, pairs) == _reference_claims(bm, pairs), pairs
+
+    @pytest.mark.parametrize("bad", [16, -1])
+    def test_out_of_range_neighbor_raises(self, bad):
+        bm = self._bitset(16, [3])
+        pairs = [(1, np.array([3])), (2, np.array([4, bad])), (3, np.array([3]))]
+        with pytest.raises(IndexError):
+            _reference_claims(bm, pairs)
+        with pytest.raises(IndexError):
+            self._run(bm, pairs)
+
+    def test_one_bitset_probe_per_scan(self, monkeypatch):
+        calls = []
+        real = Bitset.get_many
+        monkeypatch.setattr(
+            Bitset, "get_many", lambda self, idxs: calls.append(1) or real(self, idxs)
+        )
+        bm = self._bitset(64, [5])
+        pairs = [(v, np.arange(v, v + 8)) for v in range(10)]
+        self._run(bm, pairs)
+        assert len(calls) == 1
 
 
 class TestHybridMatchesTopDown:

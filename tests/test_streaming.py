@@ -19,7 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
+from repro.bfs import direction
+from repro.graphgen import pubmed_like
 from repro.services.ingestion import IngestReport
+from repro.services.streaming import OverlayView, _OverlayBatch
 from repro.simcluster import DiskFault, FaultPlan
 from repro.storage.deltalog import RECORD_START, DeltaLog
 from repro.util.errors import ConfigError
@@ -450,5 +453,250 @@ def test_streamdb_records_rebuild_on_first_scan(tmp_path, compress):
         sel = {v: sorted(adj.tolist())
                for v, adj in db.scan_adjacency(np.array(some))}
         assert sel == {v: want[v] for v in some if want[v]}
+    finally:
+        m2.close()
+
+
+# ---------------------------------------------------------------------------
+# OverlayView.gather: every overlay merge site reads through it
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _overlay_case(draw):
+    ids = st.integers(0, 30)
+    batches = draw(
+        st.lists(st.lists(st.tuples(ids, ids), max_size=25), max_size=5)
+    )
+    vs = draw(st.lists(st.integers(-2, 33), max_size=40))
+    return batches, vs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_overlay_case())
+def test_overlay_gather_equals_brute_force(case):
+    """Empty batches, absent vertices and repeated sources included."""
+    batches, vs = case
+    view = OverlayView(
+        [_OverlayBatch(i + 1, np.array(b, dtype=np.int64).reshape(-1, 2))
+         for i, b in enumerate(batches)]
+    )
+    want = [
+        np.concatenate([b.edges[b.edges[:, 0] == v, 1] for b in view.batches]
+                       + [np.empty(0, dtype=np.int64)])
+        for v in vs
+    ]
+    lens, flat = view.gather(vs)
+    assert lens.tolist() == [len(w) for w in want]
+    assert flat.dtype == np.int64
+    assert flat.tolist() == np.concatenate(want + [np.empty(0, dtype=np.int64)]).tolist()
+    assert view.fringe(vs).tolist() == flat.tolist()
+    assert view.degrees(np.array(vs, dtype=np.int64)).tolist() == lens.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Streaming bottom-up: virtual time pinned bit for bit
+# ---------------------------------------------------------------------------
+
+
+class TestStreamingBottomUpPinned:
+    """In-drain streaming with the direction hybrid on: bottom-up levels
+    merge overlay batches through the shared map (``shared=True``) or the
+    ``scan_adjacency`` wrapper (``shared=False``).  The values were
+    recorded with the per-vertex claim loop and per-vertex overlay lookups
+    that the segmented scan and ``OverlayView.gather`` replaced."""
+
+    PAIRS = [
+        (324, 34), (71, 94), (72, 320), (347, 232), (15, 37), (132, 173),
+        (248, 191), (105, 63), (276, 293), (13, 45), (180, 156), (355, 206),
+        (168, 172), (266, 234), (69, 295), (302, 382),
+    ]
+    DISTANCES = [2, 2, 2, 2, 2, 3, 2, 4, 4, 2, 3, 3, 2, 4, 2, 3]
+    #: (backend, shared) -> (repr(drain.seconds), per query
+    #: (repr(seconds), edges_examined, edges_skipped, snapshot_seq)).
+    PINNED = {
+        ("StreamDB", False): (
+            "0.4858409797373747",
+            [
+                ("0.051242325357575697", 1147, 2350, 1),
+                ("0.059746573321212096", 0, 0, 1),
+                ("0.07669893855757581", 496, 2554, 1),
+                ("0.09365580379393951", 526, 2785, 1),
+                ("0.05118204058989928", 615, 3441, 3),
+                ("0.10212869528080853", 285, 1896, 3),
+                ("0.07669251437171754", 1428, 3046, 3),
+                ("0.14491451066262695", 990, 3544, 3),
+                ("0.1535426915272731", 793, 4073, 4),
+                ("0.0852504415272731", 688, 3921, 4),
+                ("0.11119293738181835", 1030, 4291, 4),
+                ("0.11089630916363657", 605, 3747, 4),
+                ("0.09394169392727286", 1405, 3764, 4),
+                ("0.11124177254545459", 2021, 4120, 4),
+                ("0.06821651759999992", 0, 0, 4),
+                ("0.10256105930909093", 1062, 4250, 4),
+            ],
+        ),
+        ("StreamDB", True): (
+            "0.04811164773737344",
+            [
+                ("0.011021565357575777", 1147, 2350, 1),
+                ("0.011481537321212138", 0, 0, 1),
+                ("0.012148848557575783", 496, 2554, 1),
+                ("0.012820659793939428", 526, 2785, 1),
+                ("0.002720378589899021", 615, 3441, 3),
+                ("0.005008495280808132", 285, 1896, 3),
+                ("0.0039015223717172136", 1428, 3046, 3),
+                ("0.007180050662626343", 990, 3544, 3),
+                ("0.007370705527272741", 793, 4073, 4),
+                ("0.004021921527272775", 688, 3921, 4),
+                ("0.005438461381818128", 1030, 4291, 4),
+                ("0.005338459163636192", 605, 3747, 4),
+                ("0.004472147927272588", 1405, 3764, 4),
+                ("0.013924948545454272", 2021, 4120, 4),
+                ("0.0036665515999998732", 0, 0, 4),
+                ("0.00524423530909067", 1062, 4250, 4),
+            ],
+        ),
+        ("grDB", False): (
+            "0.027313694464646775",
+            [
+                ("0.001978241357575773", 1452, 2045, 1),
+                ("0.0022920828121212235", 0, 0, 1),
+                ("0.0029220680484848827", 586, 2464, 1),
+                ("0.0035883312848485407", 976, 2335, 1),
+                ("0.0019307885898989952", 948, 3108, 3),
+                ("0.0038452759717172037", 289, 1892, 3),
+                ("0.002955421280808102", 1635, 2839, 3),
+                ("0.0056505873535353975", 1107, 3427, 3),
+                ("0.006145935527272843", 914, 3952, 4),
+                ("0.0033730155272727828", 791, 3818, 4),
+                ("0.004758247381818251", 1292, 4029, 4),
+                ("0.004628835709091013", 766, 3586, 4),
+                ("0.003986318472727353", 1810, 3359, 4),
+                ("0.004775980545454639", 2186, 3955, 4),
+                ("0.0026446136000000744", 0, 0, 4),
+                ("0.004327069309090995", 1249, 4063, 4),
+            ],
+        ),
+        ("grDB", True): (
+            "0.025100130464646618",
+            [
+                ("0.0019833013575757726", 1452, 2045, 1),
+                ("0.002297142812121223", 0, 0, 1),
+                ("0.002771454048484858", 586, 2464, 1),
+                ("0.0032710152848484924", 976, 2335, 1),
+                ("0.0017715745898989731", 948, 3108, 3),
+                ("0.0033916299717171427", 289, 1892, 3),
+                ("0.002619727280808058", 1635, 2839, 3),
+                ("0.004974935353535321", 1107, 3427, 3),
+                ("0.005265323527272785", 914, 3952, 4),
+                ("0.002865089527272739", 791, 3818, 4),
+                ("0.0041173293818182535", 1292, 4029, 4),
+                ("0.004037373709090995", 766, 3586, 4),
+                ("0.0033948564727273346", 1810, 3359, 4),
+                ("0.0043148145454546365", 2186, 3955, 4),
+                ("0.0024729696000000585", 0, 0, 4),
+                ("0.0038659033090909928", 1249, 4063, 4),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("backend", TOKEN_BACKENDS)
+    def test_virtual_time_pinned(self, backend, shared, monkeypatch):
+        paths = []
+        source = direction._adjacency_source
+
+        def spy(db, candidates):
+            it = source(db, candidates)
+            if db._overlay_view() is not None:
+                paths.append(it.__name__)
+            return it
+
+        monkeypatch.setattr(direction, "_adjacency_source", spy)
+        edges = pubmed_like(400, seed=5)
+        cut = len(edges) * 3 // 5
+        m = MSSG(MSSGConfig(num_frontends=2, num_backends=4, backend=backend,
+                            streaming=True, direction_opt=True))
+        try:
+            m.ingest(edges[:cut])
+            rep = m.query_many(self.PAIRS,
+                               stream_batches=np.array_split(edges[cut:], 4),
+                               max_inflight=4, shared_scans=shared)
+        finally:
+            m.close()
+        # Bottom-up levels merged overlays through the path under test.
+        assert ("merged" in paths) is shared
+        assert "scan_adjacency" in paths
+        assert [q.result for q in rep.queries] == self.DISTANCES
+        got = (
+            repr(rep.seconds),
+            [(repr(q.seconds), q.edges_examined, q.edges_skipped, q.snapshot_seq)
+             for q in rep.queries],
+        )
+        assert got == self.PINNED[(backend, shared)]
+
+
+# ---------------------------------------------------------------------------
+# Reopen recovers the vertex-id space
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("replication", [1, 2])
+@pytest.mark.parametrize("backend", TOKEN_BACKENDS)
+def test_reopen_recovers_vertex_space(tmp_path, backend, replication):
+    """``ingest`` keeps the vertex-id space in RAM; a reopen re-derives it
+    from the stores (base + pending overlay), charging no virtual time, so
+    direction-optimized BFS and vertex programs keep working.
+
+    The forced schedule makes the BFS go bottom-up regardless of the
+    degree census (not recovered at reopen), so equal directions show the
+    hybrid ran with a correctly sized fringe bitmap."""
+    d = str(tmp_path)
+    edges = pubmed_like(300, seed=3)
+    cut = len(edges) * 3 // 4
+
+    def run(m):
+        bfs = m.query_bfs(3, 250, direction_schedule=("top-down", "bottom-up"))
+        pr = m.query("pagerank", max_iters=5, tol=0.0, return_ranks=True)
+        return m.queries.num_vertices, bfs.result, bfs.directions, pr.result["ranks"]
+
+    m = deploy(backend, storage_dir=d, replication=replication, num_backends=3)
+    try:
+        m.ingest(edges[:cut])
+        m.ingest_stream(edges[cut:])  # stays in the delta logs (no compact)
+        before = run(m)
+    finally:
+        m.close()
+    assert before[0] == int(edges.max()) + 1
+    assert before[2] == ("top-down", "bottom-up")
+    m2 = deploy(backend, storage_dir=d, replication=replication, num_backends=3)
+    try:
+        clocks = [node.clock.now for node in m2.cluster.nodes]
+        m2._recover_vertex_space()
+        assert [node.clock.now for node in m2.cluster.nodes] == clocks
+        assert run(m2) == before
+    finally:
+        m2.close()
+
+
+def test_reopen_leaves_vertex_space_unknown_when_a_partition_is_lost(tmp_path):
+    """A partition with no enumerable holder leaves the id space ``None``
+    (an undersized bitmap would raise); BFS falls back to top-down."""
+    d = str(tmp_path)
+    edges = pubmed_like(300, seed=3)
+    m = deploy("StreamDB", storage_dir=d, num_backends=3)
+    try:
+        m.ingest(edges)
+        want = m.query_bfs(3, 250).result
+    finally:
+        m.close()
+    plan = FaultPlan([DiskFault(node=2, device="streamdb", kind="fail", after_ops=0)])
+    m2 = deploy("StreamDB", storage_dir=d, num_backends=3, plan=plan)
+    try:
+        assert m2.queries.num_vertices is None
+        rep = m2.query_bfs(3, 250)
+        assert rep.directions == ()
+        assert rep.partial or rep.result == want
     finally:
         m2.close()
