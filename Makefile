@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-ingest-faults test-direction test-integrity test-concurrent test-vertexprog test-compression test-semiem test-streaming test-perfbench check-cache-factory lint bench bench-quick bench-smoke examples figures clean
+.PHONY: install test test-faults test-ingest-faults test-direction test-integrity test-concurrent test-vertexprog test-compression test-semiem test-streaming test-perfbench check-cache-factory src-lines lint bench bench-quick bench-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -68,6 +68,9 @@ bench-smoke:  # the batched-I/O + direction ablations, CI-sized (ratio bands nee
 		benchmarks/bench_vertexprog.py benchmarks/bench_ablation_compression.py \
 		benchmarks/bench_ablation_semiem.py benchmarks/bench_streaming_ingest.py \
 		--benchmark-only
+
+src-lines:  # src/ Python line count (each change reports its delta)
+	@find src -name '*.py' | xargs cat | wc -l
 
 lint:  # requires ruff (pip install ruff)
 	$(PYTHON) -m ruff check src/

@@ -7,7 +7,7 @@ from .direction import (
     DirectionController,
     bottom_up_level,
 )
-from .failover import FaultTolerance, FTState, failover_rounds, route_to_replicas, try_expand
+from .failover import FaultTolerance, FTState, failover_rounds
 from .oocbfs import NOT_FOUND, BFSConfig, BFSRankResult, oocbfs_program
 from .pipelined import pipelined_bfs_program
 from .sequential import bfs_distance, bfs_levels, sample_queries_by_distance
@@ -36,8 +36,6 @@ __all__ = [
     "VisitedLevels",
     "bottom_up_level",
     "failover_rounds",
-    "route_to_replicas",
-    "try_expand",
     "bfs_distance",
     "bfs_levels",
     "oocbfs_program",

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..util.bitset import Bitset
-from ..util.errors import CorruptBlockError, DeviceFailedError
-from .failover import FTState, route_to_replicas
+from ..util.errors import DeviceFailedError
+from .failover import FTState
 
 __all__ = [
     "BOTTOM_UP",
@@ -246,19 +246,12 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
     except DeviceFailedError as e:
         if ft is None:
             raise
-        ft.self_dead = True
-        if isinstance(e, CorruptBlockError):
-            ft.corrupt = True
-        else:
-            ft.device_failed = True
+        ft.device_error(e)
         ok = False
     claims, examined, skipped = _first_hits(bm, vs, lists)
     ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
     db.stats.edges_scanned += examined
-    timeout = ft.cfg.attempt_timeout if ft is not None else None
-    if ok and timeout is not None and ctx.clock.now - start > timeout:
-        ft.self_dead = True
-        ft.timed_out = True
+    if ok and ft is not None and ft.over_budget(ctx, start):
         ok = False
     return claims, examined, skipped, ok
 
@@ -288,22 +281,6 @@ def _first_hits(bm: Bitset, vs: list[int], lists: list[np.ndarray]):
     return claims, len(flat) - skipped, skipped
 
 
-def _responsibility(unvisited_locals: np.ndarray, rank: int, owner_of, ft: FTState | None):
-    """Unvisited local vertices this rank must scan for.
-
-    Healthy: the vertices it primarily owns.  Under failover: those whose
-    replica chain it is the first surviving member of — so a dead rank's
-    responsibility set deterministically moves to its replicas.
-    """
-    if not len(unvisited_locals):
-        return unvisited_locals
-    owners = np.asarray(owner_of(unvisited_locals), dtype=np.int64)
-    if ft is not None and ft.dead:
-        routes = route_to_replicas(owners, ft)
-        return unvisited_locals[routes == rank]
-    return unvisited_locals[owners == rank]
-
-
 def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg, result):
     """One bottom-up (pull) BFS level; returns ``(new fringe, found_here)``.
 
@@ -328,9 +305,8 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
         # 2a. Healthy path: scan my unvisited owned vertices; claims are
         # owner-local, so no claim exchange is needed at all — peers learn
         # the new fringe from the next level's bitmap/alltoall as usual.
-        candidates = _responsibility(
-            visited.unvisited_local(db.local_vertices), rank, owner_of, None
-        )
+        unvisited = visited.unvisited_local(db.local_vertices)
+        candidates = unvisited[owner_of(unvisited) == rank]
         claims, examined, skipped, _ = _scan_claims(ctx, db, bm, candidates, None)
         visited.mark_many(claims, levcnt)
         result.edges_examined += examined
@@ -352,16 +328,12 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             try:
                 # Enumerating local vertices may itself touch the device
                 # (StreamDB replays its log; BerkeleyDB walks the leaves).
-                candidates = _responsibility(
-                    visited.unvisited_local(db.local_vertices), rank, owner_of, ft
+                candidates = ft.responsible(
+                    visited.unvisited_local(db.local_vertices), owner_of
                 )
                 todo = np.setdiff1d(candidates, scanned)
             except DeviceFailedError as e:
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
+                ft.device_error(e)
         if not ft.self_dead:
             if len(todo):
                 if extra_rounds:
@@ -372,11 +344,8 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
                 if ok:
                     my_claims = claims
                     scanned = np.union1d(scanned, todo)
-        prev_dead = set(ft.dead)
         posts = yield from comm.allgather((ft.self_dead, my_claims))
-        for q, (is_dead, _) in enumerate(posts):
-            if is_dead:
-                ft.dead.add(q)
+        new_death = ft.learn(is_dead for is_dead, _ in posts)
         merged = [np.asarray(c, dtype=np.int64) for _, c in posts if len(c)]
         if merged:
             round_claims = np.unique(np.concatenate(merged))
@@ -385,10 +354,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             # failover re-assignment.
             visited.mark_many(round_claims, levcnt)
             all_claims.append(round_claims)
-        if not (ft.dead - prev_dead):
-            break
-        if extra_rounds >= ft.cfg.max_retries:
-            ft.partial = True  # responsibility of the newly dead unserved
+        if not ft.retry(new_death, extra_rounds):
             break
         extra_rounds += 1
 
@@ -401,7 +367,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
     # after posting).  A claim whose whole chain died is dropped — counted
     # once, on its primary owner.
     owners = np.asarray(owner_of(claims), dtype=np.int64)
-    routes = route_to_replicas(owners, ft)
+    routes = ft.route(owners)
     lost = routes == -1
     if lost.any():
         ft.dropped += int((lost & (owners == rank)).sum())

@@ -7,13 +7,20 @@ whose primary owner is rank ``q`` also lives on ranks ``q+1 .. q+k-1``
 (mod p), so when a device dies mid-query the coordinator logic below
 re-expands the dead rank's fringe shard on a surviving replica.
 
+:class:`FTState` is the one owner of query-side replica routing: every
+rank program (both BFS drivers, the bottom-up level, the vertex-program
+runtime and the triangle program) asks it where a vertex's adjacency is
+served (:meth:`FTState.route`), which vertices this rank must scan
+(:meth:`FTState.responsible`), and how a device error or a new death
+changes the run.
+
 The protocol is collective and level-synchronous, which keeps the
 simulation deterministic and deadlock-free:
 
-1. every rank expands its shard through :func:`try_expand`, which converts
-   a :class:`~repro.util.errors.DeviceFailedError` (or an expansion
-   exceeding the per-attempt virtual-time timeout) into "this rank is dead,
-   its shard is pending";
+1. every rank expands its shard through :meth:`FTState.expand`, which
+   converts a :class:`~repro.util.errors.DeviceFailedError` (or an
+   expansion exceeding the per-attempt virtual-time timeout) into "this
+   rank is dead, its shard is pending";
 2. :func:`failover_rounds` then runs bounded retry rounds — each round is
    one allgather announcing deaths and pending shards, after which every
    rank deterministically computes which pending vertices it is the first
@@ -22,7 +29,7 @@ simulation deterministic and deadlock-free:
    budget) is *dropped*: the query degrades to a partial result, flagged on
    the rank result and ultimately on the ``QueryReport``.
 
-Once a death is known, :func:`route_to_replicas` steers all further fringe
+Once a death is known, :meth:`FTState.route` steers all further fringe
 routing straight to the first surviving replica, so a failure costs one
 retry round rather than one per level.
 """
@@ -36,14 +43,7 @@ import numpy as np
 from ..util.errors import CorruptBlockError, DeviceFailedError
 from ..util.longarray import LongArray
 
-__all__ = [
-    "FaultTolerance",
-    "FTState",
-    "try_expand",
-    "route_to_replicas",
-    "failover_rounds",
-    "prune_known_dead_pending",
-]
+__all__ = ["FaultTolerance", "FTState", "failover_rounds"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -66,7 +66,7 @@ class FaultTolerance:
     #: ``None`` disables the timeout.
     attempt_timeout: float | None = None
     #: Explicit per-primary holder chains (``chains[u]`` = ranks storing a
-    #: copy of partition ``u``, in routing order).  ``None`` keeps the
+    #: copy of partition ``u``, in routing order).  ``None`` means the
     #: rotational ``{(u + j) % p : j < replication}`` shape; a rebalance
     #: pass installs the repaired, no-longer-rotational map here.
     chains: tuple[tuple[int, ...], ...] | None = None
@@ -79,10 +79,12 @@ class FaultTolerance:
 
 @dataclass
 class FTState:
-    """Per-rank fault bookkeeping for one BFS run."""
+    """Per-rank fault bookkeeping and replica routing for one query run."""
 
     cfg: FaultTolerance
     size: int
+    #: This rank; ``None`` for a rank-less state (routing only).
+    rank: int | None = None
     #: Ranks known (cluster-wide) to no longer serve expansions.
     dead: set = field(default_factory=set)
     self_dead: bool = False
@@ -92,126 +94,161 @@ class FTState:
     failovers: int = 0  # shards this rank re-expanded for dead peers
     dropped: int = 0  # fringe vertices whose adjacency was lost
     partial: bool = False
-    #: Lazily built padded ``(p, max_chain)`` matrix of ``cfg.chains``.
-    _chain_arr: np.ndarray | None = field(default=None, repr=False)
+    #: Holder chains as an int64 ``(p, max_chain)`` matrix padded with -1.
+    chains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dead.update(self.cfg.known_dead)
+        # A rank on record as dead (e.g. from a rebalance pass) does not
+        # bang on its device to rediscover the death.
+        self.self_dead = self.rank in self.cfg.known_dead
+        chains = self.cfg.chains
+        if chains is None:
+            chains = [
+                [(u + j) % self.size for j in range(self.cfg.replication)]
+                for u in range(self.size)
+            ]
+        width = max((len(c) for c in chains), default=0)
+        self.chains = np.full((len(chains), max(width, 1)), -1, dtype=np.int64)
+        for u, c in enumerate(chains):
+            self.chains[u, : len(c)] = c
 
-    def chain_of(self, primary: int) -> list[int]:
-        """Holder ranks of ``primary``'s partition, in routing order."""
-        if self.cfg.chains is not None:
-            return list(self.cfg.chains[primary])
-        return [(primary + j) % self.size for j in range(self.cfg.replication)]
+    # -- routing ------------------------------------------------------------
 
-    def chain_matrix(self) -> np.ndarray:
-        """``cfg.chains`` as an int64 matrix padded with ``-1``."""
-        if self._chain_arr is None:
-            chains = self.cfg.chains
-            width = max((len(c) for c in chains), default=0)
-            arr = np.full((len(chains), max(width, 1)), -1, dtype=np.int64)
-            for u, c in enumerate(chains):
-                arr[u, : len(c)] = c
-            self._chain_arr = arr
-        return self._chain_arr
+    def route(self, owners) -> np.ndarray:
+        """First surviving holder of each primary owner's replica chain.
 
-
-def try_expand(ctx, db, cfg, vertices, ft: FTState, prefetch: bool = False):
-    """Expand ``vertices`` locally; ``None`` means this rank cannot serve.
-
-    Converts an injected device failure — or an attempt that exceeds the
-    per-attempt virtual-time budget — into the sticky ``self_dead`` state.
-    A timed-out attempt's results are discarded (its virtual time stays
-    charged: the work happened, the coordinator just stopped waiting),
-    mirroring how a straggling disk looks indistinguishable from a dead one
-    from the query's side.
-
-    A :class:`CorruptBlockError` (CRC-bad frame, detected by the checksum
-    layer) takes the same reroute path — the rank stops serving and its
-    shard fails over to the next replica — but is flagged as ``corrupt``
-    rather than ``device_failed``: the disk is alive and repairable, and
-    the query layer schedules read-repair for it instead of declaring the
-    back-end dead.
-    """
-    if ft.self_dead:
-        return None
-    start = ctx.clock.now
-    out = LongArray()
-    try:
-        if prefetch:
-            db.prefetch_fringe(vertices)
-        db.expand_fringe(vertices, out)
-    except DeviceFailedError as e:
-        ft.self_dead = True
-        if isinstance(e, CorruptBlockError):
-            ft.corrupt = True
-        else:
-            ft.device_failed = True
-        return None
-    timeout = ft.cfg.attempt_timeout
-    if timeout is not None and ctx.clock.now - start > timeout:
-        ft.self_dead = True
-        ft.timed_out = True
-        return None
-    return out.view()
-
-
-def route_to_replicas(owners, ft: FTState) -> np.ndarray:
-    """Map primary owners to the first surviving rank of each replica chain.
-
-    Returns an int64 route array; ``-1`` marks vertices whose entire chain
-    is dead (their adjacency is unreachable — the caller drops them and
-    flags a partial result).  The chain is the rotational
-    ``{owner + j (mod size) : j < replication}`` unless the config carries
-    an explicit (e.g. rebalanced) chain map.
-    """
-    owners = np.asarray(owners, dtype=np.int64)
-    if ft.cfg.chains is not None:
-        return _route_via_chains(owners, ft)
-    routes = owners.copy()
-    if not ft.dead or not len(owners):
+        Returns an int64 route array; ``-1`` marks vertices whose entire
+        chain is dead (their adjacency is unreachable — the caller drops
+        them and flags a partial result).
+        """
+        cand = self.chains[np.asarray(owners, dtype=np.int64)]
+        alive = cand >= 0
+        if self.dead:
+            dead = np.fromiter(self.dead, count=len(self.dead), dtype=np.int64)
+            alive &= ~np.isin(cand, dead)
+        routes = cand[np.arange(len(cand)), np.argmax(alive, axis=1)]
+        routes[~alive.any(axis=1)] = -1
         return routes
-    dead = np.fromiter(ft.dead, count=len(ft.dead), dtype=np.int64)
-    down = np.isin(routes, dead)
-    for j in range(1, ft.cfg.replication):
-        if not down.any():
-            return routes
-        routes[down] = (owners[down] + j) % ft.size
-        down = np.isin(routes, dead)
-    routes[down] = -1
-    return routes
 
+    def responsible(self, vertices: np.ndarray, owner_of) -> np.ndarray:
+        """The vertices whose chain this rank is the first surviving member of.
 
-def _route_via_chains(owners: np.ndarray, ft: FTState) -> np.ndarray:
-    """First alive holder per owner under an explicit chain map."""
-    if not len(owners):
-        return owners.copy()
-    cand = ft.chain_matrix()[owners]  # (n, max_chain) of holder ranks
-    alive = cand >= 0
-    if ft.dead:
-        dead = np.fromiter(ft.dead, count=len(ft.dead), dtype=np.int64)
-        alive &= ~np.isin(cand, dead)
-    first = np.argmax(alive, axis=1)
-    routes = cand[np.arange(len(owners)), first]
-    routes[~alive.any(axis=1)] = -1
-    return routes
+        ``vertices`` is rank-uniform (or this rank's local slice), so every
+        rank computes every vertex's responsible rank from the shared owner
+        map and dead set — no coordination messages.  A dead rank's
+        responsibility set thereby moves deterministically to its replicas.
+        """
+        return vertices[self.route(owner_of(vertices)) == self.rank]
 
+    def route_fringe(self, vertices, owners, visited, level):
+        """Route new fringe vertices; drop those whose whole chain is dead.
 
-def prune_known_dead_pending(pending, ft: FTState, rank: int, owner_of) -> np.ndarray:
-    """Bootstrap-level shard pruning for ranks recorded dead up front.
+        Returns ``(vertices, routes)`` without the lost vertices, which are
+        counted, flag the run partial, and are marked visited at ``level``
+        so no rank re-discovers them.
+        """
+        routes = self.route(owners)
+        lost = routes == -1
+        if lost.any():
+            self.dropped += int(lost.sum())
+            self.partial = True
+            visited.mark_many(vertices[lost], level)
+            return vertices[~lost], routes[~lost]
+        return vertices, routes
 
-    The bootstrap fringe ``{s}`` is held by *every* rank, so a rank seeded
-    dead via ``known_dead`` has nothing to fail over at level 1: whichever
-    alive holder stores the source's partition expanded the same fringe
-    against its local copy already.  Only vertices whose whole chain is dead
-    stay pending, so a truly unreachable source is still detected, dropped
-    and flagged.  This is what makes an already-rebalanced cluster pay zero
-    failover rounds.
-    """
-    if not len(pending) or rank not in ft.cfg.known_dead or owner_of is None:
-        return pending
-    routes = route_to_replicas(owner_of(pending), ft)
-    return pending[routes == -1]
+    def cover(self, shards) -> None:
+        """Owner-unknown coverage check for dead ranks' ``(rank, size)`` shards.
+
+        In broadcast mode every rank already expanded (or scanned) the full
+        fringe against its own copies, so a dead rank's shard is served
+        whenever any member of its replica chain is alive — its first
+        surviving member counts the failover.  A shard whose whole chain
+        is dead is dropped.
+        """
+        for q, n in shards:
+            route = int(self.route([q])[0])
+            if route == -1:
+                self.dropped += n
+                self.partial = True
+            elif route == self.rank:
+                self.failovers += 1
+
+    # -- deaths -------------------------------------------------------------
+
+    def device_error(self, e: DeviceFailedError) -> None:
+        """This rank's device raised ``e``: stop serving.
+
+        A :class:`CorruptBlockError` (CRC-bad frame, detected by the
+        checksum layer) takes the same reroute path, but is flagged as
+        ``corrupt`` rather than ``device_failed``: the disk is alive and
+        repairable, and the query layer schedules read-repair for it
+        instead of declaring the back-end dead.
+        """
+        self.self_dead = True
+        if isinstance(e, CorruptBlockError):
+            self.corrupt = True
+        else:
+            self.device_failed = True
+
+    def over_budget(self, ctx, start: float) -> bool:
+        """Did the attempt begun at virtual time ``start`` blow the timeout?
+
+        A timed-out attempt's results are discarded (its virtual time stays
+        charged: the work happened, the coordinator just stopped waiting),
+        mirroring how a straggling disk looks indistinguishable from a dead
+        one from the query's side.
+        """
+        timeout = self.cfg.attempt_timeout
+        if timeout is None or ctx.clock.now - start <= timeout:
+            return False
+        self.self_dead = True
+        self.timed_out = True
+        return True
+
+    def expand(self, ctx, db, vertices, prefetch: bool = False):
+        """Expand ``vertices`` locally; ``None`` means this rank cannot serve."""
+        if self.self_dead:
+            return None
+        start = ctx.clock.now
+        out = LongArray()
+        try:
+            if prefetch:
+                db.prefetch_fringe(vertices)
+            db.expand_fringe(vertices, out)
+        except DeviceFailedError as e:
+            self.device_error(e)
+            return None
+        if self.over_budget(ctx, start):
+            return None
+        return out.view()
+
+    def learn(self, flags) -> bool:
+        """Fold one round's rank-ordered death flags in; True if any is new."""
+        before = len(self.dead)
+        self.dead.update(q for q, is_dead in enumerate(flags) if is_dead)
+        return len(self.dead) > before
+
+    def retry(self, new_death: bool, rounds: int) -> bool:
+        """Run another re-scan round after ``rounds`` extra rounds?
+
+        Only a new death needs one; past the retry budget the newly dead
+        rank's responsibility stays unserved and the run turns partial.
+        """
+        if not new_death:
+            return False
+        if rounds >= self.cfg.max_retries:
+            self.partial = True
+            return False
+        return True
+
+    def report(self, result) -> None:
+        """Copy the failover counters onto a rank result."""
+        result.failovers = self.failovers
+        result.dropped_vertices = self.dropped
+        result.device_failed = self.device_failed
+        result.corrupt = self.corrupt
+        result.partial = result.partial or self.partial
 
 
 def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
@@ -223,6 +260,13 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
     broadcast mode (unknown mapping), where replicas have already expanded
     the full fringe against their copies and only coverage is checked.
 
+    A rank seeded dead via ``known_dead`` posts only the vertices whose
+    whole chain is dead: the one fringe it ever holds is the bootstrap
+    ``{s}``, held by *every* rank, so whichever alive holder stores the
+    source's partition expanded it already.  A truly unreachable source is
+    still detected, dropped and flagged, and an already-rebalanced cluster
+    pays zero failover rounds.
+
     Each round costs one allgather.  The loop's control flow depends only
     on globally agreed data (the gathered posts and the shared round
     budget), so all ranks execute the same number of collectives.
@@ -231,11 +275,11 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
     gathered = []
     rounds = 0
     pending = np.asarray(pending, dtype=np.int64)
+    if len(pending) and owner_of is not None and ft.rank in ft.cfg.known_dead:
+        pending = pending[ft.route(owner_of(pending)) == -1]
     while True:
         posts = yield from comm.allgather((ft.self_dead, pending))
-        for q, (is_dead, _) in enumerate(posts):
-            if is_dead:
-                ft.dead.add(q)
+        ft.learn(is_dead for is_dead, _ in posts)
         shards = [
             (q, np.asarray(s, dtype=np.int64)) for q, (_, s) in enumerate(posts) if len(s)
         ]
@@ -243,17 +287,7 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
         if not shards:
             break
         if owner_of is None:
-            # Broadcast mode: every rank expanded the full fringe already,
-            # so a dead rank's shard is covered whenever any member of its
-            # replica chain is alive; nothing needs re-sending.
-            for q, shard in shards:
-                alive = [r for r in ft.chain_of(q) if r not in ft.dead]
-                if alive:
-                    if comm.rank == alive[0]:
-                        ft.failovers += 1
-                else:
-                    ft.dropped += len(shard)
-                    ft.partial = True
+            ft.cover((q, len(shard)) for q, shard in shards)
             break
         if rounds >= ft.cfg.max_retries:
             # Retry budget exhausted: degrade instead of looping forever.
@@ -264,7 +298,7 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
         rounds += 1
         mine = []
         for _, shard in shards:
-            routes = route_to_replicas(owner_of(shard), ft)
+            routes = ft.route(owner_of(shard))
             mine.append(shard[routes == comm.rank])
             lost = int((routes == -1).sum())
             if lost:
@@ -273,7 +307,7 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
         mine = np.concatenate(mine) if mine else _EMPTY
         if len(mine):
             ft.failovers += 1
-            recovered = try_expand(ctx, db, cfg, mine, ft, prefetch=cfg.prefetch)
+            recovered = ft.expand(ctx, db, mine, prefetch=cfg.prefetch)
             if recovered is None:
                 pending = mine  # this replica died too; next round re-routes
             elif len(recovered):

@@ -36,14 +36,7 @@ from .direction import (
     bottom_up_level,
     merge_level_stats,
 )
-from .failover import (
-    FaultTolerance,
-    FTState,
-    failover_rounds,
-    prune_known_dead_pending,
-    route_to_replicas,
-    try_expand,
-)
+from .failover import FaultTolerance, FTState, failover_rounds
 from .visited import VisitedLevels
 
 __all__ = ["BFSConfig", "BFSRankResult", "oocbfs_program"]
@@ -141,11 +134,7 @@ def oocbfs_program(
     result = BFSRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        # This rank is on record as dead (e.g. from a rebalance pass):
-        # don't bang on the device to rediscover it.
-        ft.self_dead = True
+    ft = FTState(cfg.ft, size, rank) if cfg.ft is not None else None
 
     if cfg.source == cfg.dest:
         result.found_level = 0
@@ -197,12 +186,8 @@ def oocbfs_program(
                 # Fault-tolerant expand: a device failure (or timeout) turns this
                 # rank's whole shard into ``pending``, which the collective
                 # failover rounds re-expand on a surviving replica.
-                expanded = try_expand(ctx, db, cfg, fringe, ft, prefetch=cfg.prefetch)
+                expanded = ft.expand(ctx, db, fringe, prefetch=cfg.prefetch)
                 pending = fringe if expanded is None else np.empty(0, dtype=np.int64)
-                if levcnt == 1 and len(pending):
-                    pending = prune_known_dead_pending(
-                        pending, ft, rank, owner_of if cfg.owner_known else None
-                    )
                 extra = yield from failover_rounds(
                     ctx, db, cfg, ft, pending, owner_of if cfg.owner_known else None
                 )
@@ -215,17 +200,10 @@ def oocbfs_program(
 
             if cfg.owner_known:
                 owners = owner_of(new)
-                if ft is not None and ft.dead:
+                if ft is not None:
                     # Steer vertices owned by dead ranks straight to their first
                     # surviving replica; drop those whose whole chain is gone.
-                    owners = route_to_replicas(owners, ft)
-                    lost = owners == -1
-                    if lost.any():
-                        ft.dropped += int(lost.sum())
-                        ft.partial = True
-                        visited.mark_many(new[lost], levcnt)
-                        new = new[~lost]
-                        owners = owners[~lost]
+                    new, owners = ft.route_fringe(new, owners, visited, levcnt)
                 # Sender-side marking (line 14) for vertices we hand off; our
                 # own discoveries are marked on receipt like everyone else's.
                 remote = new[owners != rank]
@@ -295,9 +273,5 @@ def oocbfs_program(
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = ft.partial
+        ft.report(result)
     return result

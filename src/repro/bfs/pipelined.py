@@ -20,7 +20,7 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
-from ..util.errors import CorruptBlockError, DeviceFailedError
+from ..util.errors import DeviceFailedError
 from ..util.longarray import LongArray
 from .direction import (
     BOTTOM_UP,
@@ -28,13 +28,7 @@ from .direction import (
     bottom_up_level,
     merge_level_stats,
 )
-from .failover import (
-    FTState,
-    failover_rounds,
-    prune_known_dead_pending,
-    route_to_replicas,
-    try_expand,
-)
+from .failover import FTState, failover_rounds
 from .oocbfs import BFSConfig, BFSRankResult, _merge_found
 from .visited import VisitedLevels
 
@@ -66,11 +60,7 @@ def pipelined_bfs_program(
     result = BFSRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        # This rank is on record as dead (e.g. from a rebalance pass):
-        # don't bang on the device to rediscover it.
-        ft.self_dead = True
+    ft = FTState(cfg.ft, size, rank) if cfg.ft is not None else None
 
     if cfg.source == cfg.dest:
         result.found_level = 0
@@ -144,11 +134,7 @@ def pipelined_bfs_program(
             except DeviceFailedError as e:
                 if ft is None:
                     raise
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
+                ft.device_error(e)
         for batch_start in range(0, max(len(fringe), 1), poll_batch):
             batch = fringe[batch_start : batch_start + poll_batch]
             if ft is None:
@@ -156,7 +142,7 @@ def pipelined_bfs_program(
                 db.expand_fringe(batch, out)
                 neighbors = out.view()
             else:
-                neighbors = try_expand(ctx, db, cfg, batch, ft)
+                neighbors = ft.expand(ctx, db, batch)
                 if neighbors is None:
                     # Device died (or timed out) mid-level: the unexpanded
                     # tail of the fringe goes to the failover rounds after
@@ -172,15 +158,8 @@ def pipelined_bfs_program(
 
             if cfg.owner_known:
                 owners = owner_of(new)
-                if ft is not None and ft.dead:
-                    owners = route_to_replicas(owners, ft)
-                    lost = owners == -1
-                    if lost.any():
-                        ft.dropped += int(lost.sum())
-                        ft.partial = True
-                        visited.mark_many(new[lost], levcnt)
-                        new = new[~lost]
-                        owners = owners[~lost]
+                if ft is not None:
+                    new, owners = ft.route_fringe(new, owners, visited, levcnt)
                 visited.mark_many(new[owners != rank], levcnt)
                 # Group vertices by destination in one stable sort instead of
                 # size passes of boolean masking; destinations are visited in
@@ -225,10 +204,6 @@ def pipelined_bfs_program(
                 absorb(np.asarray(msg.payload, dtype=np.int64), levcnt)
 
         if ft is not None:
-            if levcnt == 1 and len(pending):
-                pending = prune_known_dead_pending(
-                    pending, ft, rank, owner_of if cfg.owner_known else None
-                )
             # Collective failover for any shard left unexpanded, then one
             # synchronous exchange to route the recovered neighbors — the
             # pipelined chunk protocol for this level has already settled,
@@ -241,14 +216,7 @@ def pipelined_bfs_program(
                 found_here = True
             fresh = visited.unvisited(np.unique(extra)) if len(extra) else extra
             if cfg.owner_known:
-                routes = route_to_replicas(owner_of(fresh), ft)
-                lost = routes == -1
-                if lost.any():
-                    ft.dropped += int(lost.sum())
-                    ft.partial = True
-                    visited.mark_many(fresh[lost], levcnt)
-                    fresh = fresh[~lost]
-                    routes = routes[~lost]
+                fresh, routes = ft.route_fringe(fresh, owner_of(fresh), visited, levcnt)
                 visited.mark_many(fresh[routes != rank], levcnt)
                 parts = [fresh[routes == q] for q in range(size)]
                 recovered = yield from comm.alltoall(parts)
@@ -287,9 +255,5 @@ def pipelined_bfs_program(
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = ft.partial
+        ft.report(result)
     return result

@@ -130,10 +130,7 @@ def fault_summary(mssg: MSSG) -> FaultSummary:
     faults = sum(dev.stats.failures for dev in devs)
     last = mssg.last_ingest
     dead = mssg.dead_backends()
-    # Unreplicated declusterers keep partition u on back-end u alone.
-    chains = getattr(
-        mssg.declusterer, "chains", [[u] for u in range(mssg.config.num_backends)]
-    )
+    chains = mssg.declusterer.chain_map()
     return FaultSummary(
         dead_backends=tuple(dead),
         faults_fired=faults,

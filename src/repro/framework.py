@@ -308,8 +308,7 @@ class MSSG:
                 pass
             finally:
                 db.clock.reset(now)
-        # Unreplicated declusterers keep partition u on back-end u alone.
-        chains = getattr(self.declusterer, "chains", [[q] for q in range(len(self.dbs))])
+        chains = self.declusterer.chain_map()
         if hi >= 0 and all(probed.intersection(c) for c in chains):
             self.queries.num_vertices = hi + 1
 
@@ -484,12 +483,81 @@ class MSSG:
                 out.append(q)
         return out
 
+    def _copy_partitions(self, moves, tag: int) -> tuple[dict[int, int], set[int]]:
+        """Ship partition copies between back-ends in one cluster run.
+
+        ``moves[i] = (partition, source, target)``: the source extracts its
+        copy of the partition (``local_vertices`` filtered by the owner map,
+        adjacency read back entry by entry) and the target stores it.
+        Returns ``(stored, failed)``: entries stored per move index, and the
+        indices of moves lost to a device failure on either end (a target
+        that dies before its copies hit disk voids all it accepted).
+        """
+        F = self.config.num_frontends
+        owner_of = self.declusterer.owner_of
+        dbs = self.dbs
+        empty = np.zeros((0, 2), dtype=np.int64)
+
+        def extract(db, u: int) -> np.ndarray:
+            verts = db.local_vertices()
+            if not len(verts):
+                return empty
+            rows = []
+            for v in verts[owner_of(verts) == u]:
+                adj = db.get_adjacency(int(v))
+                if len(adj):
+                    rows.append(np.column_stack([np.full(len(adj), v, np.int64), adj]))
+            return np.vstack(rows) if rows else empty
+
+        def program(ctx):
+            q = ctx.rank - F
+            stored: dict[int, int] = {}
+            failed: list[int] = []
+            for i, (u, src, dst) in enumerate(moves):
+                if q == src:
+                    try:
+                        entries = extract(dbs[src], u)
+                    except DeviceFailedError:
+                        entries = None
+                    size = _adjacency_wire_size(entries, self.config.compress_adjacency)
+                    # Non-blocking send: move order is shared by all ranks
+                    # and a move's source never receives for it, so
+                    # processing moves in order cannot deadlock.
+                    ctx.comm.send(F + dst, entries, tag=tag, size=size)
+                if q == dst:
+                    msg = yield from ctx.comm.recv(source=F + src, tag=tag)
+                    entries = msg.payload
+                    if entries is None:
+                        failed.append(i)
+                        continue
+                    try:
+                        if len(entries):
+                            dbs[dst].store_edges(entries)
+                        stored[i] = len(entries)
+                    except DeviceFailedError:
+                        failed.append(i)
+            if stored:
+                try:
+                    dbs[q].finalize_ingest()
+                    dbs[q].flush()
+                except DeviceFailedError:
+                    failed.extend(stored)
+                    stored.clear()
+            return (stored, failed)
+
+        stored_all: dict[int, int] = {}
+        failed_all: set[int] = set()
+        for r in self.cluster.run(program):
+            if r is not None:
+                stored_all.update(r[0])
+                failed_all.update(r[1])
+        return stored_all, failed_all
+
     def rebalance(self) -> RebalanceReport:
         """Re-replicate partitions held by dead back-ends onto survivors.
 
         For every partition with a dead holder, the first surviving chain
-        member extracts its copy (``local_vertices`` filtered by the owner
-        map, adjacency read back entry by entry) and ships it to the first
+        member ships its copy (:meth:`_copy_partitions`) to the first
         alive back-end not already holding one, until the chain is back to
         ``k`` copies (or the cluster runs out of alive candidates).  The
         repaired chain map is installed on the declusterer and the deaths
@@ -503,31 +571,24 @@ class MSSG:
         as such; queries over it stay partial until re-ingestion.
         """
         cfg = self.config
-        F, P = cfg.num_frontends, cfg.num_backends
+        P = cfg.num_backends
         dead = self.dead_backends()
-        rep = (
-            self.declusterer
-            if isinstance(self.declusterer, ReplicatedDeclusterer)
-            else None
-        )
+        chains = self.declusterer.chain_map()
         if not dead:
             return RebalanceReport(
                 seconds=0.0,
                 dead_backends=(),
                 copies_restored=0,
                 entries_copied=0,
-                replication=rep.effective_replication if rep else 1,
+                replication=min(len(c) for c in chains),
             )
-        if rep is not None and not self.declusterer.owner_known:
+        if cfg.replication > 1 and not self.declusterer.owner_known:
             raise ConfigError(
                 "cannot rebalance owner-unknown declustering (edge-rr): no "
                 "owner map to extract a dead back-end's partitions with"
             )
         deadset = set(dead)
-        k = rep.replication if rep else 1
-        chains = {
-            u: (rep.replica_chain(u) if rep else [u]) for u in range(P)
-        }
+        k = cfg.replication
         moves: list[tuple[int, int, int]] = []  # (partition, source, target)
         new_chains: dict[int, list[int]] = {}
         unrecoverable: list[int] = []
@@ -557,95 +618,26 @@ class MSSG:
 
         seconds = 0.0
         stored_all: dict[int, int] = {}
-        failed_all: set[int] = set()
         if moves:
-            owner_of = self.declusterer.owner_of
-            dbs = self.dbs
-            TAG = 7700
-
-            def extract(db, u: int) -> np.ndarray:
-                verts = db.local_vertices()
-                empty = np.zeros((0, 2), dtype=np.int64)
-                if not len(verts):
-                    return empty
-                mine = verts[owner_of(verts) == u]
-                rows = []
-                for v in mine:
-                    adj = db.get_adjacency(int(v))
-                    if len(adj):
-                        rows.append(
-                            np.column_stack([np.full(len(adj), v, np.int64), adj])
-                        )
-                return np.vstack(rows) if rows else empty
-
-            def program(ctx):
-                q = ctx.rank - F
-                stored: dict[int, int] = {}
-                failed: list[int] = []
-                for i, (u, src, dst) in enumerate(moves):
-                    if q == src:
-                        try:
-                            entries = extract(dbs[src], u)
-                        except DeviceFailedError:
-                            entries = None
-                        size = _adjacency_wire_size(
-                            entries, self.config.compress_adjacency
-                        )
-                        # Non-blocking send: move order is shared by all
-                        # ranks and a move's source never receives for it,
-                        # so processing moves in order cannot deadlock.
-                        ctx.comm.send(F + dst, entries, tag=TAG, size=size)
-                    if q == dst:
-                        msg = yield from ctx.comm.recv(source=F + src, tag=TAG)
-                        entries = msg.payload
-                        if entries is None:
-                            failed.append(i)
-                            continue
-                        try:
-                            if len(entries):
-                                dbs[dst].store_edges(entries)
-                            stored[i] = len(entries)
-                        except DeviceFailedError:
-                            failed.append(i)
-                if stored:
-                    try:
-                        dbs[q].finalize_ingest()
-                        dbs[q].flush()
-                    except DeviceFailedError:
-                        # The new holder died before its copies hit disk:
-                        # everything it accepted this pass is void.
-                        failed.extend(stored)
-                        stored.clear()
-                return (stored, failed)
-
-            for r in self.cluster.run(program):
-                if r is None:
-                    continue
-                s, f = r
-                stored_all.update(s)
-                failed_all.update(f)
+            stored_all, failed = self._copy_partitions(moves, tag=7700)
             seconds = self.cluster.makespan
-            for i in failed_all:
+            for i in failed:
                 u, _, dst = moves[i]
                 if dst in new_chains[u]:
                     new_chains[u].remove(dst)
 
-        if rep is not None:
-            rep.set_chains([new_chains[u] for u in range(P)])
+        if cfg.replication > 1:
+            self.declusterer.set_chains([new_chains[u] for u in range(P)])
         # Targets may have died mid-copy: record the current death set, not
         # the one we started from.
         self.queries.known_dead = set(self.dead_backends())
         self.queries.fault_tolerant = True
-        if rep is not None:
-            replication = rep.effective_replication
-        else:
-            replication = 0 if unrecoverable else 1
         return RebalanceReport(
             seconds=seconds,
             dead_backends=tuple(dead),
             copies_restored=len(stored_all),
             entries_copied=sum(stored_all.values()),
-            replication=replication,
+            replication=min(len(c) for c in new_chains.values()),
             unrecoverable_partitions=tuple(unrecoverable),
         )
 
@@ -674,22 +666,19 @@ class MSSG:
         partition are not byte-identical (each back-end laid its edges out
         in its own arrival order) — so repair is logical: wipe the
         back-end's devices, recreate its GraphDB, and re-materialize every
-        partition it holds from the first clean, alive holder (the same
-        extract/ship/store plumbing as :meth:`rebalance`).  A back-end is
+        partition it holds from the first clean, alive holder
+        (:meth:`_copy_partitions`, as :meth:`rebalance`).  A back-end is
         only repaired when *every* partition it holds has such a source;
-        otherwise wiping would destroy its surviving clean partitions.
+        otherwise wiping would destroy its surviving clean partitions.  A
+        copy lost to a device failure mid-repair raises
+        :class:`DeviceFailedError`.
         """
         cfg = self.config
-        rep = (
-            self.declusterer
-            if isinstance(self.declusterer, ReplicatedDeclusterer)
-            else None
-        )
-        if not bad or rep is None or not self.declusterer.owner_known:
+        if not bad or cfg.replication == 1 or not self.declusterer.owner_known:
             return 0
         F, P = cfg.num_frontends, cfg.num_backends
         deadset = set(self.dead_backends())
-        chains = {u: rep.replica_chain(u) for u in range(P)}
+        chains = self.declusterer.chain_map()
         corrupt = set(bad) | deadset
 
         def clean_source(u: int, q: int) -> int | None:
@@ -716,48 +705,8 @@ class MSSG:
                 dev.truncate(0)
             self.dbs[q] = self._make_db(q)
 
-        owner_of = self.declusterer.owner_of
-        dbs = self.dbs
-        TAG = 7701
-
-        def extract(db, u: int) -> np.ndarray:
-            verts = db.local_vertices()
-            empty = np.zeros((0, 2), dtype=np.int64)
-            if not len(verts):
-                return empty
-            mine = verts[owner_of(verts) == u]
-            rows = []
-            for v in mine:
-                adj = db.get_adjacency(int(v))
-                if len(adj):
-                    rows.append(np.column_stack([np.full(len(adj), v, np.int64), adj]))
-            return np.vstack(rows) if rows else empty
-
-        def program(ctx):
-            q = ctx.rank - F
-            stored = False
-            for u, src, dst in moves:
-                if q == src:
-                    entries = extract(dbs[src], u)
-                    ctx.comm.send(
-                        F + dst,
-                        entries,
-                        tag=TAG,
-                        size=_adjacency_wire_size(
-                            entries, self.config.compress_adjacency
-                        ),
-                    )
-                if q == dst:
-                    msg = yield from ctx.comm.recv(source=F + src, tag=TAG)
-                    if len(msg.payload):
-                        dbs[dst].store_edges(msg.payload)
-                    stored = True
-            if stored:
-                dbs[q].finalize_ingest()
-                dbs[q].flush()
-            return None
-
-        self.cluster.run(program)
+        if self._copy_partitions(moves, tag=7701)[1]:
+            raise DeviceFailedError("a replica holder died during read-repair")
         repaired = 0
         for q in repairable:
             node = self.cluster.nodes[F + q]

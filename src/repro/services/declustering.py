@@ -55,6 +55,8 @@ class Declusterer(abc.ABC):
     #: True when every processor can compute any vertex's owner locally
     #: (enables owner-routed BFS instead of fringe broadcast).
     owner_known: bool = False
+    #: Copies stored of each partition.
+    replication: int = 1
 
     def __init__(self, num_backends: int):
         if num_backends <= 0:
@@ -117,6 +119,13 @@ class Declusterer(abc.ABC):
     def owner_of(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup (only meaningful when owner_known)."""
         raise NotImplementedError(f"{type(self).__name__} has no global owner map")
+
+    def chain_map(self) -> tuple[tuple[int, ...], ...]:
+        """Holder chain of every partition, in routing order.
+
+        Unreplicated: partition ``u`` lives on back-end ``u`` alone.
+        """
+        return tuple((u,) for u in range(self.p))
 
 
 def _both_directions(window: np.ndarray) -> np.ndarray:
@@ -367,13 +376,7 @@ class ReplicatedDeclusterer(Declusterer):
         self._rebuild_holdings()
 
     def chain_map(self) -> tuple[tuple[int, ...], ...]:
-        """Immutable snapshot of the holder chains, for query-side routing."""
         return tuple(tuple(c) for c in self.chains)
-
-    @property
-    def effective_replication(self) -> int:
-        """Copies of the worst-covered partition under the current chains."""
-        return min(len(c) for c in self.chains)
 
     def replica_chain(self, primary: int) -> list[int]:
         """The ranks storing a copy of ``primary``'s partition, in order."""

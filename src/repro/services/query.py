@@ -148,7 +148,7 @@ class QueryService:
         self.num_frontends = num_frontends
         #: Copies of each partition, taken from the (possibly replicated)
         #: declusterer the graph was ingested with.
-        self.replication = getattr(declusterer, "replication", 1)
+        self.replication = declusterer.replication
         # Default: run the failover protocol exactly when the data is
         # replicated.  Forcing it on with replication=1 still converts
         # device deaths into flagged partial results instead of crashes.
@@ -283,14 +283,12 @@ class QueryService:
         if not self.fault_tolerant:
             return None
         # A rebalanced declusterer carries an explicit (no longer
-        # rotational) chain map; hand it to the failover protocol so
-        # shards route straight to the repaired holders.
-        chain_map = getattr(self.declusterer, "chain_map", None)
+        # rotational) chain map; shards route straight to its holders.
         return FaultTolerance(
             replication=self.replication,
             max_retries=self.max_retries,
             attempt_timeout=self.attempt_timeout,
-            chains=chain_map() if callable(chain_map) else None,
+            chains=self.declusterer.chain_map(),
             known_dead=frozenset(self.known_dead),
         )
 

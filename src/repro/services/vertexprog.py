@@ -40,7 +40,7 @@ Access plans, inherited from the BFS work:
   order="storage")`` (grDB resolves the candidates' chains through the
   coalescing block planner; BerkeleyDB walks its leaf chain; MySQL plans
   range statements), and source-independent programs (``needs_source =
-  False``) go through :func:`~repro.bfs.failover.try_expand` /
+  False``) go through :meth:`~repro.bfs.failover.FTState.expand` /
   ``expand_fringe`` — the exact batched path of top-down BFS;
 * a **dense** frontier switches to one storage-order sweep per rank —
   the bottom-up BFS plan — through
@@ -73,9 +73,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bfs.direction import BOTTOM_UP, _adjacency_source
-from ..bfs.failover import FaultTolerance, FTState, route_to_replicas, try_expand
+from ..bfs.failover import FaultTolerance, FTState
 from ..util.bitset import Bitset
-from ..util.errors import ConfigError, CorruptBlockError, DeviceFailedError
+from ..util.errors import ConfigError, DeviceFailedError
 from ..util.longarray import LongArray
 
 __all__ = [
@@ -257,23 +257,6 @@ def _pick_mode(cfg: VPConfig, superstep: int, active_count: int) -> str:
     return DENSE if active_count * cfg.dense_beta >= cfg.num_vertices else SPARSE
 
 
-def _responsibility(active: np.ndarray, rank: int, owner_of, ft: FTState | None):
-    """Active vertices this rank must scan (first surviving chain holder).
-
-    ``active`` is rank-uniform, so every rank computes every vertex's
-    responsible rank from the shared owner map and dead set — no
-    coordination messages.  Vertices whose whole chain is dead route to no
-    rank (they are counted as dropped at the end of the superstep).
-    """
-    if not len(active):
-        return active
-    owners = np.asarray(owner_of(active), dtype=np.int64)
-    if ft is None or not ft.dead:
-        return active[owners == rank]
-    routes = route_to_replicas(owners, ft)
-    return active[routes == rank]
-
-
 def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, superstep: int, ft):
     """Gather/scatter one rank's share of a superstep.
 
@@ -292,7 +275,7 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
         # Flat batch expansion (the top-down BFS plan): values are
         # per-superstep constants, so only destinations matter.
         if ft is not None:
-            flat = try_expand(ctx, db, None, todo, ft, prefetch=False)
+            flat = ft.expand(ctx, db, todo)
             if flat is None:
                 return empty_post, False
         else:
@@ -323,18 +306,11 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     except DeviceFailedError as e:
         if ft is None:
             raise
-        ft.self_dead = True
-        if isinstance(e, CorruptBlockError):
-            ft.corrupt = True
-        else:
-            ft.device_failed = True
+        ft.device_error(e)
         ok = False
     ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
     db.stats.edges_scanned += examined
-    timeout = ft.cfg.attempt_timeout if ft is not None else None
-    if ok and timeout is not None and ctx.clock.now - start > timeout:
-        ft.self_dead = True
-        ft.timed_out = True
+    if ok and ft is not None and ft.over_budget(ctx, start):
         ok = False
     if not ok:
         return empty_post, False
@@ -377,9 +353,7 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
     result = VPRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, comm.size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        ft.self_dead = True
+    ft = FTState(cfg.ft, comm.size, rank) if cfg.ft is not None else None
 
     active = np.asarray(prog.init(n), dtype=np.int64)
     frontier = Bitset(n)
@@ -418,6 +392,11 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
         # subtracts them — no vertex's messages are ever produced twice
         # (which would corrupt additive combiners) and a dying rank's
         # half-finished round, whose post was discarded, is re-scanned.
+        # Without an owner map (edge granularity) every rank scans its own
+        # stored slice of the whole active set and the loop never retries:
+        # the coverage sets are disjoint by storage, not by routing, so a
+        # dead rank's slice is served iff a member of its replica chain is
+        # alive — the same coverage rule as broadcast-mode BFS.
         posts: list[tuple] = []  # meaningful at rank 0 only
         covered_mask = np.zeros(len(active), dtype=bool)
         extra_rounds = 0
@@ -427,19 +406,13 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
             todo = _EMPTY
             routes_all = None
             if owner_of is not None:
-                owners_all = np.asarray(owner_of(active), dtype=np.int64)
-                if ft is not None and ft.dead:
-                    routes_all = route_to_replicas(owners_all, ft)
-                else:
-                    routes_all = owners_all
+                routes_all = np.asarray(owner_of(active), dtype=np.int64)
+                if ft is not None:
+                    routes_all = ft.route(routes_all)
             if not (ft is not None and ft.self_dead):
                 if routes_all is not None:
                     todo = active[(routes_all == rank) & ~covered_mask]
                 else:
-                    # Owner unknown (edge granularity): every rank scans
-                    # its own stored slice of the whole active set, and the
-                    # loop never retries — the coverage sets are disjoint
-                    # by storage, not by routing.
                     todo = active
             if ft is not None and extra_rounds and len(todo):
                 ft.failovers += 1  # picked up a dead peer's shard
@@ -451,46 +424,34 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
                 post[1].astype(id_dtype, copy=False),
                 post[2],
             )
-            self_dead = ft.self_dead if ft is not None else False
-            prev_dead = set(ft.dead) if ft is not None else set()
-            gathered = yield from comm.gather((self_dead, post), root=0)
+            gathered = yield from comm.gather(
+                (ft is not None and ft.self_dead, post), root=0
+            )
             if rank == 0:
                 flags = [g[0] for g in gathered]
                 posts.extend(g[1] for g in gathered)
             else:
                 flags = None
             flags = yield from comm.bcast(flags, root=0)
-            if ft is not None:
-                for q, is_dead in enumerate(flags):
-                    if is_dead:
-                        ft.dead.add(q)
-            if routes_all is not None:
-                # Vertices routed to a rank that scanned without dying this
-                # round are done; a newly dead scanner's share stays open
-                # for the next round's replacement holder.
-                ok_rank = np.ones(comm.size + 1, dtype=bool)
-                if ft is not None:
-                    for q in ft.dead:
-                        ok_rank[q] = False
-                covered_mask |= (routes_all >= 0) & ok_rank[routes_all]
-            if ft is None or not (ft.dead - prev_dead):
+            if ft is None:
                 break
+            new_death = ft.learn(flags)
             if owner_of is None:
-                # Broadcast-style coverage: a dead rank's slice has no
-                # replica route to retry through; degrade.
-                if ft.cfg.replication <= 1:
-                    ft.partial = True
+                ft.cover((q, len(active)) for q, is_dead in enumerate(flags) if is_dead)
                 break
-            if extra_rounds >= ft.cfg.max_retries:
-                ft.partial = True
+            # Vertices routed to a rank that scanned without dying this
+            # round are done; a newly dead scanner's share stays open for
+            # the next round's replacement holder.
+            covered_mask |= (routes_all >= 0) & ~np.isin(routes_all, list(ft.dead))
+            if not ft.retry(new_death, extra_rounds):
                 break
             extra_rounds += 1
-        if ft is not None and ft.dead and owner_of is not None:
+        if ft is not None and owner_of is not None:
             # Whole replica chains dead: their adjacency is unreachable.
             # The set is rank-uniform; counted once, on the primary owner
             # (whose program — though dead — still runs this epilogue).
             owners_all = np.asarray(owner_of(active), dtype=np.int64)
-            lost = route_to_replicas(owners_all, ft) == -1
+            lost = ft.route(owners_all) == -1
             if lost.any():
                 ft.dropped += int((owners_all[lost] == rank).sum())
                 ft.partial = True
@@ -530,11 +491,7 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = result.partial or ft.partial
+        ft.report(result)
     return result
 
 
@@ -751,9 +708,7 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
     result = VPRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        ft.self_dead = True
+    ft = FTState(cfg.ft, size, rank) if cfg.ft is not None else None
 
     aborted = False
     if cfg.level_marks:
@@ -777,19 +732,15 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
         if not (ft is not None and ft.self_dead):
             try:
                 local = np.asarray(db.local_vertices(), dtype=np.int64)
-                owners = np.asarray(owner_of(local), dtype=np.int64)
-                if ft is not None and ft.dead:
-                    routes = route_to_replicas(owners, ft)
-                    mine = local[routes == rank]
+                if ft is None:
+                    mine = local[owner_of(local) == rank]
                 else:
-                    mine = local[owners == rank]
+                    mine = ft.responsible(local, owner_of)
                 todo = np.setdiff1d(mine, scanned)
             except DeviceFailedError as e:
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
+                if ft is None:
+                    raise
+                ft.device_error(e)
         round_pairs: list[np.ndarray] = []
         round_adj: dict[int, np.ndarray] = {}
         round_wedges = 0
@@ -814,11 +765,7 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
             except DeviceFailedError as e:
                 if ft is None:
                     raise
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
+                ft.device_error(e)
                 ok = False
             ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
             db.stats.edges_scanned += examined
@@ -838,17 +785,8 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
             wedges = 0
             checks = []
             scanned = _EMPTY
-        self_dead = ft.self_dead if ft is not None else False
-        prev_dead = set(ft.dead) if ft is not None else set()
-        posts = yield from comm.allgather(self_dead)
-        if ft is not None:
-            for q, is_dead in enumerate(posts):
-                if is_dead:
-                    ft.dead.add(q)
-        if ft is None or not (ft.dead - prev_dead):
-            break
-        if extra_rounds >= ft.cfg.max_retries:
-            ft.partial = True
+        posts = yield from comm.allgather(ft is not None and ft.self_dead)
+        if ft is None or not ft.retry(ft.learn(posts), extra_rounds):
             break
         extra_rounds += 1
 
@@ -867,16 +805,14 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
         pairs = (
             np.vstack(checks) if checks else np.zeros((0, 2), dtype=np.int64)
         )
-        owners = np.asarray(owner_of(pairs[:, 0]), dtype=np.int64)
-        if ft is not None and ft.dead:
-            routes = route_to_replicas(owners, ft)
+        routes = np.asarray(owner_of(pairs[:, 0]), dtype=np.int64)
+        if ft is not None:
+            routes = ft.route(routes)
             lost = routes == -1
             if lost.any():
                 ft.partial = True
                 ft.dropped += int(lost.sum())
                 pairs, routes = pairs[~lost], routes[~lost]
-        else:
-            routes = owners
         parts = [pairs[routes == q] for q in range(size)]
         received = yield from comm.alltoall(parts)
         mine = 0
@@ -919,11 +855,7 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = result.partial or ft.partial
+        ft.report(result)
     return result
 
 

@@ -159,6 +159,16 @@ class TestDeadlines:
             assert not fast.partial
             assert fast.result == want_fast
 
+    def test_cut_off_replicated_query_is_partial(self):
+        # On a replicated deployment the failover protocol runs; a deadline
+        # cut-off must still come back flagged partial.
+        with _deploy("grDB", replication=2) as mssg:
+            mssg.ingest(EDGES)
+            mssg.queries.submit(0, -1, deadline=1e-9)
+            (slow,) = mssg.queries.drain().queries
+            assert slow.deadline_exceeded
+            assert slow.partial
+
     def test_generous_deadline_changes_nothing(self):
         with _deploy("StreamDB") as mssg:
             mssg.ingest(EDGES)

@@ -148,6 +148,7 @@ class TestCorrectness:
 # --- Failover: mid-run device kills through the runtime. -------------------
 
 _FO_EDGES = pubmed_like(600, seed=7)
+_OU_EDGES = pubmed_like(400, seed=5)
 
 
 def _fo_mssg(replication, kill=False, backend="grDB"):
@@ -201,6 +202,42 @@ class TestFailover:
             report = mssg.query("components")
             assert report.result == want
             assert report.failovers == 0
+
+    @pytest.mark.parametrize(
+        "killed,partial",
+        [((0, 1), True), ((0, 2), False)],
+        ids=["adjacent", "non-adjacent"],
+    )
+    def test_owner_unknown_dead_chain_is_reported(self, killed, partial):
+        # Edge round-robin keeps back-end q's slice on chain (q, q+1): two
+        # adjacent deaths lose a whole chain, a non-adjacent pair loses none.
+        # The vertex-program runtime must flag exactly what BFS flags.
+        def deploy():
+            mssg = MSSG(
+                MSSGConfig(
+                    num_backends=4,
+                    num_frontends=1,
+                    declustering="edge-rr",
+                    replication=2,
+                    cache_blocks=4,
+                )
+            )
+            mssg.ingest(_OU_EDGES)
+            return mssg
+
+        with deploy() as healthy:
+            want = healthy.query("components", return_labels=True).result
+        with deploy() as mssg:
+            mssg.set_fault_plan(
+                FaultPlan([DiskFault(node=1 + q, at_time=0.0) for q in killed])
+            )
+            report = mssg.query("components", return_labels=True)
+            bfs = mssg.query_bfs(3, 300)
+        assert report.device_failures == len(killed)
+        assert report.partial is partial
+        assert bfs.partial is partial
+        if not partial:
+            assert report.result == want
 
 
 # --- Concurrent drains: analytics through query_many. ----------------------
